@@ -95,26 +95,23 @@ def decode(params, z):
 def _latent_value_and_grad(z, prior, estimator, cfg, seed):
     cfg = cfg or {}
     if estimator == "SW":
+        # two calls, not one fused call: the traced benchmark times the
+        # training-time SW work through discrepancy.sw2 and sw2_gradient
         L = cfg.get("num_projections", 1000)
-        value = dsc.sw2(z, prior, L, seed).value
-        grad = dsc.sw2_gradient(z, prior, L, seed)
+        est, grad = dsc.sw2(z, prior, L, seed), dsc.sw2_gradient(z, prior, L, seed)
     elif estimator == "GW":
-        value = dsc.gw2(z, prior).value
-        grad = dsc.gw2_gradient(z, prior)
+        est, grad = dsc.gw2(z, prior), dsc.gw2_gradient(z, prior)
     elif estimator == "MAXSW":
         est, direction = dsc.max_sw2(z, prior,
                                      cfg.get("ascent_iters", 10),
                                      cfg.get("step_size", 0.1), seed)
-        value = est.value
         grad = dsc.maxsw2_gradient(z, prior, direction)
     elif estimator == "GSW":
-        L = cfg.get("num_projections", 1000)
-        R = cfg.get("pivot_radius")
-        value = dsc.gsw2_circular(z, prior, L, R, seed).value
-        grad = dsc.gsw2_gradient(z, prior, L, R, seed)
+        est, grad = dsc.gsw2_value_and_grad(z, prior, cfg.get("num_projections", 1000),
+                                            cfg.get("pivot_radius"), seed)
     else:
         raise ValueError(f"unknown estimator {estimator!r}")
-    return value, grad
+    return est.value, grad
 
 
 def loss_and_grad(params, batch_x, prior_batch, lam, estimator="SW",

@@ -34,6 +34,14 @@ class AssignmentPlan:
                    capacity=obj["capacity"], cost=obj["cost"])
 
 
+def sq_dists(a, b):
+    """Squared Euclidean distances between the rows of a and of b, shape
+    (len(a), len(b)), clamped at 0 against cancellation."""
+    d2 = ((a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
+          - 2.0 * a @ b.T)
+    return np.maximum(d2, 0.0)
+
+
 def distance_matrix(points, generators):
     """Squared Euclidean distances, shape (N, m); N must divide by m."""
     points = np.asarray(points, dtype=float)
@@ -42,15 +50,13 @@ def distance_matrix(points, generators):
         raise ValueError("dimension mismatch")
     if len(points) % len(generators) != 0:
         raise ValueError(f"{len(points)} points not divisible by {len(generators)} generators")
-    d2 = ((points * points).sum(axis=1)[:, None]
-          + (generators * generators).sum(axis=1)[None, :]
-          - 2.0 * points @ generators.T)
-    return np.maximum(d2, 0.0)
+    return sq_dists(points, generators)
 
 
 def _finalize(points, generators, assignment, capacity):
     counts = np.bincount(assignment, minlength=len(generators))
-    assert np.all(counts == capacity), "infeasible plan: capacities violated"
+    if np.any(counts != capacity):
+        raise RuntimeError("infeasible plan: capacities violated")
     cost = float(((points - generators[assignment]) ** 2).sum())
     return AssignmentPlan(assignment=assignment, capacity=capacity, cost=cost)
 

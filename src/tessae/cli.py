@@ -4,7 +4,6 @@ study and the verification harnesses.  Configuration comes from an optional
 snapshot next to its outputs."""
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -16,14 +15,27 @@ from . import autoencoder as ae
 from . import data as datamod
 from . import experiments as exp
 from .batch_design import lcm_assign, optimal_assign
+from .discrepancy import NumericalFailure
 from .seeding import derive_rng
-from .tessellation import Tessellation, e8_tessellation, lloyd_cvt
-from .trainer import (MetricsLog, TrainConfig, build_tessellation,
+from .tessellation import (DegenerateRegionError, ShellCalibrationError, Tessellation,
+                           e8_tessellation, lloyd_cvt)
+from .trainer import (MetricsLog, TrainConfig, TrainingAborted, build_tessellation,
                       train_baseline, train_twae, train_twae_regularized)
 
 
 class CheckFailed(RuntimeError):
     pass
+
+
+# typed failures of a run, reported in one line with exit code 2
+_RUN_ERRORS = (TrainingAborted, ae.ForwardNumericalError, NumericalFailure,
+              DegenerateRegionError, ShellCalibrationError)
+
+
+def _config_parser(prog="tessae"):
+    parser = argparse.ArgumentParser(prog=prog, add_help=False)
+    parser.add_argument("--config", help="key = value config file; flags override")
+    return parser
 
 
 def _read_config_file(path):
@@ -202,14 +214,12 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="tessae")
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers = {}
+    common = _config_parser()
 
     def add(name, func, **kwargs):
-        sp = sub.add_parser(name, **kwargs)
-        sp.add_argument("--config", help="key = value config file; flags override")
+        sp = sub.add_parser(name, parents=[common], **kwargs)
         sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=0,
-                        help="cap BLAS worker threads (0 = library default)")
         sp.set_defaults(func=func)
         subparsers[name] = sp
         return sp
@@ -284,44 +294,33 @@ def build_parser():
     return parser, subparsers
 
 
-@contextlib.contextmanager
-def _thread_cap(threads):
-    if threads and threads > 0:
-        try:
-            from threadpoolctl import threadpool_limits
-        except ImportError:
-            yield
-            return
-        with threadpool_limits(limits=threads):
-            yield
-    else:
-        yield
-
-
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
-    # config file values become subparser defaults so flags override them
-    if argv and argv[0] in subparsers and "--config" in argv:
-        cfg_path = argv[argv.index("--config") + 1]
-        try:
-            _apply_config_defaults(subparsers[argv[0]], _read_config_file(cfg_path))
-        except (OSError, ValueError) as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
     try:
+        # config file values become subparser defaults so flags override them
+        if argv and argv[0] in subparsers:
+            pre = _config_parser(f"{parser.prog} {argv[0]}")
+            cfg_path = pre.parse_known_args(argv[1:])[0].config
+            if cfg_path is not None:
+                _apply_config_defaults(subparsers[argv[0]], _read_config_file(cfg_path))
         args = parser.parse_args(argv)
     except SystemExit as err:
         return err.code if err.code is not None else 0
+    except (OSError, ValueError) as err:  # an unreadable or invalid config file
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     _prepare_out(args)
     try:
-        with _thread_cap(args.threads):
-            args.func(args)
+        args.func(args)
     except CheckFailed as err:
         print(f"check failed: {err}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except _RUN_ERRORS as err:
+        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
     return 0
 

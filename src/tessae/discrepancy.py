@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .batch_design import sq_dists
 from .seeding import as_rng
 
 
@@ -40,12 +41,6 @@ def _check_pair(a, b, equal_size=True):
     return a, b
 
 
-def _sq_dists(a, b):
-    d2 = ((a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
-          - 2.0 * a @ b.T)
-    return np.maximum(d2, 0.0)
-
-
 def wasserstein_exact(a, b):
     """Exact squared W2 between equal-size point sets via minimum-cost
     perfect matching on the squared-distance matrix.
@@ -57,7 +52,7 @@ def wasserstein_exact(a, b):
     n = len(a)
     if n > 1024:
         raise ValueError("wasserstein_exact limited to n <= 1024")
-    cost = _sq_dists(a, b)
+    cost = sq_dists(a, b)
     rows, cols = linear_sum_assignment(cost)
     sigma = np.empty(n, dtype=int)
     sigma[rows] = cols
@@ -95,20 +90,25 @@ def sw2(a, b, num_projections=1000, seed=0):
     return DiscrepancyEstimate(_sw2_projected(a, b, dirs), "SW", num_projections)
 
 
-def sw2_gradient(a, b, num_projections=1000, seed=0):
-    """Gradient of sw2 with respect to a; the same seed reproduces the
-    matchings of the paired sw2 call.  Sort ties follow the stable sort."""
-    a, b = _check_pair(a, b)
-    n = len(a)
-    dirs = _directions(a.shape[1], num_projections, as_rng(seed))
-    pa = a @ dirs.T  # (n, L)
-    pb = b @ dirs.T
+def _matched_diffs(pa, pb):
+    """Per column of the (n, L) projections: the sorted differences, and
+    the same differences placed back at a's rows.  Ties follow the stable
+    sort, which yields the same sorted values as np.sort."""
     ia = np.argsort(pa, axis=0, kind="stable")
     ib = np.argsort(pb, axis=0, kind="stable")
-    diff_sorted = np.take_along_axis(pa, ia, axis=0) - np.take_along_axis(pb, ib, axis=0)
+    diff = np.take_along_axis(pa, ia, axis=0) - np.take_along_axis(pb, ib, axis=0)
     coeff = np.zeros_like(pa)
-    np.put_along_axis(coeff, ia, diff_sorted, axis=0)
-    return (2.0 / (n * num_projections)) * (coeff @ dirs)
+    np.put_along_axis(coeff, ia, diff, axis=0)
+    return diff, coeff
+
+
+def sw2_gradient(a, b, num_projections=1000, seed=0):
+    """Gradient of sw2 with respect to a; the same seed reproduces the
+    matchings of the paired sw2 call."""
+    a, b = _check_pair(a, b)
+    dirs = _directions(a.shape[1], num_projections, as_rng(seed))
+    _, coeff = _matched_diffs(a @ dirs.T, b @ dirs.T)
+    return (2.0 / (len(a) * num_projections)) * (coeff @ dirs)
 
 
 def max_sw2(a, b, ascent_iters=10, step_size=0.1, seed=0):
@@ -129,15 +129,15 @@ def max_sw2(a, b, ascent_iters=10, step_size=0.1, seed=0):
         g = (2.0 / n) * diff @ (a[ia] - b[ib])
         return v, g
 
-    best_v, best_w = value_grad(w)[0], w.copy()
+    v, g = value_grad(w)
+    best_v, best_w = v, w.copy()
     for _ in range(ascent_iters):
-        _, g = value_grad(w)
         w = w + step_size * g
         norm = np.linalg.norm(w)
         if norm == 0:
             break
         w /= norm
-        v = value_grad(w)[0]
+        v, g = value_grad(w)
         if v > best_v:
             best_v, best_w = v, w.copy()
     return DiscrepancyEstimate(best_v, "MAXSW", ascent_iters), best_w
@@ -163,46 +163,46 @@ def default_pivot_radius(a, b):
                      float(np.linalg.norm(b, axis=1).max()))
 
 
+def _gsw_pivots(a, b, num_projections, pivot_radius, seed):
+    # the pivots R*theta, (L, d)
+    if pivot_radius is None:
+        pivot_radius = default_pivot_radius(a, b)
+    if pivot_radius <= 0:
+        raise ValueError("pivot_radius must be positive")
+    return pivot_radius * _directions(a.shape[1], num_projections, as_rng(seed))
+
+
 def _gsw_features(x, pivots):
-    # distance of every point to every pivot R*theta, (n, L)
-    d2 = ((x * x).sum(axis=1)[:, None] + (pivots * pivots).sum(axis=1)[None, :]
-          - 2.0 * x @ pivots.T)
-    return np.sqrt(np.maximum(d2, 1e-300))
+    # distance of every point to every pivot, (n, L)
+    return np.sqrt(np.maximum(sq_dists(x, pivots), 1e-300))
 
 
 def gsw2_circular(a, b, num_projections=1000, pivot_radius=None, seed=0):
     """Generalized sliced squared W2 with circular projections: the scalar
     feature is the distance to a pivot R*theta, theta uniform on the sphere."""
     a, b = _check_pair(a, b)
-    if pivot_radius is None:
-        pivot_radius = default_pivot_radius(a, b)
-    if pivot_radius <= 0:
-        raise ValueError("pivot_radius must be positive")
-    dirs = _directions(a.shape[1], num_projections, as_rng(seed))
-    pivots = pivot_radius * dirs
+    pivots = _gsw_pivots(a, b, num_projections, pivot_radius, seed)
     fa = np.sort(_gsw_features(a, pivots), axis=0)
     fb = np.sort(_gsw_features(b, pivots), axis=0)
     return DiscrepancyEstimate(float(((fa - fb) ** 2).mean()), "GSW", num_projections)
 
 
+def gsw2_value_and_grad(a, b, num_projections=1000, pivot_radius=None, seed=0):
+    """gsw2_circular and its gradient with respect to a from one feature
+    map and one sort; returns (estimate, gradient)."""
+    a, b = _check_pair(a, b)
+    pivots = _gsw_pivots(a, b, num_projections, pivot_radius, seed)
+    fa = _gsw_features(a, pivots)
+    diff, coeff = _matched_diffs(fa, _gsw_features(b, pivots))
+    # d feature / d a_i = (a_i - pivot_l) / fa[i, l]
+    c = (2.0 / (len(a) * num_projections)) * coeff / fa
+    grad = c.sum(axis=1)[:, None] * a - c @ pivots
+    return DiscrepancyEstimate(float((diff ** 2).mean()), "GSW", num_projections), grad
+
+
 def gsw2_gradient(a, b, num_projections=1000, pivot_radius=None, seed=0):
     """Gradient of gsw2_circular with respect to a (same seed pairing)."""
-    a, b = _check_pair(a, b)
-    n = len(a)
-    if pivot_radius is None:
-        pivot_radius = default_pivot_radius(a, b)
-    dirs = _directions(a.shape[1], num_projections, as_rng(seed))
-    pivots = pivot_radius * dirs
-    fa = _gsw_features(a, pivots)
-    fb = _gsw_features(b, pivots)
-    ia = np.argsort(fa, axis=0, kind="stable")
-    ib = np.argsort(fb, axis=0, kind="stable")
-    diff_sorted = np.take_along_axis(fa, ia, axis=0) - np.take_along_axis(fb, ib, axis=0)
-    coeff = np.zeros_like(fa)
-    np.put_along_axis(coeff, ia, diff_sorted, axis=0)
-    # d feature / d a_i = (a_i - pivot_l) / fa[i, l]
-    c = (2.0 / (n * num_projections)) * coeff / fa
-    return c.sum(axis=1)[:, None] * a - c @ pivots
+    return gsw2_value_and_grad(a, b, num_projections, pivot_radius, seed)[1]
 
 
 def _sym_sqrt(mat, inv=False, floor=0.0):

@@ -11,7 +11,7 @@ from .autoencoder import encode
 from .batch_design import lcm_assign, optimal_assign
 from .discrepancy import sw2, wasserstein_exact
 from .discrepancy import _directions, _sw2_projected  # shared-direction study internals
-from .seeding import derive_rng
+from .seeding import derive_rng, derive_seed
 from .tessellation import lloyd_cvt, sample_region, sample_unit_ball
 
 
@@ -248,7 +248,7 @@ def gap_study(params, tess, dataset, n, trials=4, num_projections=256,
             rng = derive_rng(seed, 40, j, t)
             prior = sample_region(tess, j, n, rng)
             prior_b = sample_region(tess, j, n, rng)
-            est_seed = np.random.SeedSequence(entropy=seed, spawn_key=(41, j, t))
+            est_seed = derive_seed(seed, 41, j, t)
             vals.append(sw2(cluster, prior, num_projections, est_seed).value)
             base.append(sw2(prior, prior_b, num_projections, est_seed).value)
         regions.append({"region": j, "sw2": float(np.mean(vals)),
@@ -258,7 +258,7 @@ def gap_study(params, tess, dataset, n, trials=4, num_projections=256,
         rng = derive_rng(seed, 42, t)
         prior = sample_unit_ball(tess.dim, use, rng)
         prior_b = sample_unit_ball(tess.dim, use, rng)
-        est_seed = np.random.SeedSequence(entropy=seed, spawn_key=(43, t))
+        est_seed = derive_seed(seed, 43, t)
         g_vals.append(sw2(z, prior, num_projections, est_seed).value)
         g_base.append(sw2(prior, prior_b, num_projections, est_seed).value)
     if out_csv:

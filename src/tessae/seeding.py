@@ -10,11 +10,18 @@ def as_rng(seed):
     return np.random.default_rng(seed)
 
 
-def derive_rng(seed, *key):
-    """Independent substream for (seed, key).
+def derive_seed(seed, *key):
+    """The SeedSequence of the substream for (seed, key).
 
     The key is a tuple of small non-negative ints (epoch, chunk, step,
-    purpose, ...).  Two calls with the same arguments return generators
-    producing identical output.
+    purpose, ...).  Unlike a Generator, the sequence can seed several
+    generators identically, e.g. two evaluations that must share their
+    random projections.
     """
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
+    return np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
+
+
+def derive_rng(seed, *key):
+    """Independent substream for (seed, key); two calls with the same
+    arguments return generators producing identical output."""
+    return np.random.default_rng(derive_seed(seed, *key))

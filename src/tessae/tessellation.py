@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .batch_design import sq_dists
 from .seeding import as_rng
 
 CVT = "CVT"
@@ -88,7 +89,8 @@ def regions_of(tess, points):
     if points.shape[1] != tess.dim:
         raise ValueError(f"point dim {points.shape[1]} != tessellation dim {tess.dim}")
     g = tess.generators
-    # ||p - g||^2 = ||p||^2 - 2 p.g + ||g||^2; ||p||^2 is constant per row
+    # ||p - g||^2 = ||p||^2 - 2 p.g + ||g||^2; ||p||^2 is constant per row.
+    # Not sq_dists: adding the row term changes the rounding, hence ties
     d2 = (g * g).sum(axis=1)[None, :] - 2.0 * points @ g.T
     return np.argmin(d2, axis=1)
 
@@ -102,14 +104,7 @@ def cvt_energy(tess, mc_samples, seed):
     """Monte Carlo clustering energy: E_y[min_i ||y - g_i||^2], y uniform
     on the unit ball (density normalized to integrate to 1)."""
     pool = sample_unit_ball(tess.dim, mc_samples, seed)
-    return float(_min_d2(pool, tess.generators).mean())
-
-
-def _min_d2(points, generators):
-    d2 = ((points * points).sum(axis=1)[:, None]
-          + (generators * generators).sum(axis=1)[None, :]
-          - 2.0 * points @ generators.T)
-    return np.maximum(d2, 0.0).min(axis=1)
+    return float(sq_dists(pool, tess.generators).min(axis=1).mean())
 
 
 def lloyd_cvt(dim, m, mc_samples_per_iter=None, max_iters=100, energy_tol=1e-4, seed=0):
@@ -139,12 +134,13 @@ def lloyd_cvt(dim, m, mc_samples_per_iter=None, max_iters=100, energy_tol=1e-4, 
     energies = []
     reseeds = 0
     for _ in range(max_iters):
-        energy = float(_min_d2(eval_pool, gens).mean())
-        if energies:
-            # MC noise allows small increases; a real increase is a bug
-            assert energy <= energies[-1] * 1.01, "Lloyd energy increased beyond MC tolerance"
+        energy = float(sq_dists(eval_pool, gens).min(axis=1).mean())
+        # MC noise allows small increases; a real increase is a bug
+        if energies and not energy <= energies[-1] * 1.01:
+            raise RuntimeError("Lloyd energy increased beyond MC tolerance")
         energies.append(energy)
         pool = sample_unit_ball(dim, mc_samples_per_iter, rng)
+        # not sq_dists: its clamp pass costs time and can tie entries, moving labels
         d2 = ((pool * pool).sum(axis=1)[:, None]
               + (gens * gens).sum(axis=1)[None, :]
               - 2.0 * pool @ gens.T)

@@ -1,5 +1,7 @@
-"""Training loops: tessellated training (plain and with the shared-batch
-Taylor-correction regularizer) and a non-tessellated baseline."""
+"""Training: one loop that three modes share.  Tessellated training (plain
+and with the shared-batch Taylor-correction regularizer) forms its batches
+by least-cost assignment to the regions; the non-tessellated baseline forms
+them by shuffling."""
 
 import csv
 import time
@@ -9,18 +11,12 @@ import numpy as np
 
 from .autoencoder import AdamState, adam_step, encode, init_params, loss_and_grad
 from .batch_design import lcm_assign
-from .seeding import derive_rng
+from .seeding import derive_rng, derive_seed
 from .tessellation import e8_tessellation, lloyd_cvt, sample_region, sample_unit_ball
 
 # substream purposes
 _PRIOR, _EST, _REGION_SHUFFLE, _BATCH_SHUFFLE = 0, 1, 2, 3
 _SUPPORT_IDX, _SUPPORT_PRIOR, _SUPPORT_EST = 4, 5, 6
-
-
-def _derive_seed(seed, *key):
-    # a SeedSequence can seed several generators identically (needed so a
-    # value/gradient pair reuses the same projections)
-    return np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
 
 
 @dataclass
@@ -113,75 +109,65 @@ def _g_add(g_a, g_b, scale):
             for stack in ("encoder", "decoder")}
 
 
-def train_twae(config, dataset, tess=None, params=None):
-    """Tessellated training: per chunk, encode all points, solve the
-    capacitated least-cost assignment to the generators, then take one
-    Adam step per region against prior samples drawn inside that region."""
+def _loss(config, params, batch, prior, seed):
+    return loss_and_grad(params, batch, prior, config.lam, config.estimator,
+                         config.estimator_config, seed=seed)
+
+
+def _tessellated_batches(config, tess, params, x_chunk, epoch, c):
+    """Encode the chunk, solve the capacitated least-cost assignment to the
+    generators, then yield (region, batch, prior, lcm_ms) per region in
+    shuffled order, the prior drawn inside that region."""
+    n = config.region_batch
+    z = encode(params, x_chunk)
+    t0 = time.perf_counter()
+    plan = lcm_assign(z, tess.generators, n)
+    lcm_ms = (time.perf_counter() - t0) * 1e3
+    order = derive_rng(config.seed, epoch, c, 0, _REGION_SHUFFLE).permutation(config.m)
+    for step, k in enumerate(int(k) for k in order):
+        prior = sample_region(tess, k, n, derive_rng(config.seed, epoch, c, step, _PRIOR))
+        yield k, x_chunk[plan.assignment == k], prior, lcm_ms
+
+
+def _random_batches(config, tess, params, x_chunk, epoch, c):
+    """Yield (step, batch, prior, 0.0) for m random batches of the chunk,
+    the prior drawn from the whole ball."""
+    n = config.region_batch
+    perm = derive_rng(config.seed, epoch, c, 0, _BATCH_SHUFFLE).permutation(config.chunk_size)
+    for step in range(config.m):
+        # batch composition is random; index order is normalized so
+        # that the m=1 case reduces bit-exactly to train_twae
+        idx = np.sort(perm[step * n:(step + 1) * n])
+        prior = sample_unit_ball(config.latent_dim, n,
+                                 derive_rng(config.seed, epoch, c, step, _PRIOR))
+        yield step, x_chunk[idx], prior, 0.0
+
+
+def _train(config, dataset, tess, params, batches, alpha):
+    """One Adam step per batch that batches(config, tess, params, x_chunk,
+    epoch, chunk) yields for each chunk.  With alpha > 0 each step adds
+    alpha * (grad of the previous step's whole-support batch at the current
+    parameters minus its cached gradient at the previous parameters); the
+    support batch, its prior sample and its projection seed are shared
+    between the two evaluations."""
     tess, params, adam, n_chunks = _init(config, dataset, tess, params)
     n = config.region_batch
     log = MetricsLog()
     for epoch in range(config.epochs):
         for c in range(n_chunks):
             x_chunk = dataset.points[c * config.chunk_size:(c + 1) * config.chunk_size]
-            z = encode(params, x_chunk)
-            t0 = time.perf_counter()
-            plan = lcm_assign(z, tess.generators, n)
-            lcm_ms = (time.perf_counter() - t0) * 1e3
-            order = derive_rng(config.seed, epoch, c, 0, _REGION_SHUFFLE).permutation(config.m)
-            for step, k in enumerate(int(k) for k in order):
-                prior = sample_region(tess, k, n,
-                                      derive_rng(config.seed, epoch, c, step, _PRIOR))
-                batch = x_chunk[plan.assignment == k]
-                t1 = time.perf_counter()
-                recon, latent, grads = loss_and_grad(
-                    params, batch, prior, config.lam, config.estimator,
-                    config.estimator_config,
-                    seed=_derive_seed(config.seed, epoch, c, step, _EST))
-                _check_finite(recon, latent, epoch, c, k)
-                params, adam = adam_step(params, adam, grads)
-                step_ms = (time.perf_counter() - t1) * 1e3
-                log.add(epoch, c, k, recon, latent, lcm_ms, step_ms)
-    return params, log
-
-
-def train_twae_regularized(config, dataset, tess=None, params=None):
-    """Tessellated training with the non-identical-batch correction: each
-    region step adds alpha * (grad of the previous step's whole-support
-    batch at the current parameters minus its cached gradient at the
-    previous parameters).  The support batch, its prior sample and its
-    projection seed are shared between the two evaluations."""
-    tess, params, adam, n_chunks = _init(config, dataset, tess, params)
-    n = config.region_batch
-    log = MetricsLog()
-    for epoch in range(config.epochs):
-        for c in range(n_chunks):
-            x_chunk = dataset.points[c * config.chunk_size:(c + 1) * config.chunk_size]
-            z = encode(params, x_chunk)
-            t0 = time.perf_counter()
-            plan = lcm_assign(z, tess.generators, n)
-            lcm_ms = (time.perf_counter() - t0) * 1e3
-            order = derive_rng(config.seed, epoch, c, 0, _REGION_SHUFFLE).permutation(config.m)
             cached = None  # (batch_x, prior, est_seed, grads at previous params)
-            for step, k in enumerate(int(k) for k in order):
-                prior = sample_region(tess, k, n,
-                                      derive_rng(config.seed, epoch, c, step, _PRIOR))
-                batch = x_chunk[plan.assignment == k]
+            for step, (label, batch, prior, lcm_ms) in enumerate(
+                    batches(config, tess, params, x_chunk, epoch, c)):
                 t1 = time.perf_counter()
-                recon, latent, g_region = loss_and_grad(
-                    params, batch, prior, config.lam, config.estimator,
-                    config.estimator_config,
-                    seed=_derive_seed(config.seed, epoch, c, step, _EST))
-                _check_finite(recon, latent, epoch, c, k)
-                if cached is None or config.alpha == 0.0:
-                    g = g_region
-                else:
-                    s_batch, s_prior, s_seed, g_prev = cached
-                    _, _, g_now = loss_and_grad(
-                        params, s_batch, s_prior, config.lam, config.estimator,
-                        config.estimator_config, seed=s_seed)
-                    g = _g_add(_g_add(g_region, g_now, config.alpha),
-                               g_prev, -config.alpha)
-                if config.alpha != 0.0:
+                recon, latent, grads = _loss(config, params, batch, prior,
+                                             derive_seed(config.seed, epoch, c, step, _EST))
+                _check_finite(recon, latent, epoch, c, label)
+                if alpha != 0.0:
+                    if cached is not None:
+                        s_batch, s_prior, s_seed, g_prev = cached
+                        _, _, g_now = _loss(config, params, s_batch, s_prior, s_seed)
+                        grads = _g_add(_g_add(grads, g_now, alpha), g_prev, -alpha)
                     # cache the fresh support gradient at the pre-update params
                     idx_rng = derive_rng(config.seed, epoch, c, step, _SUPPORT_IDX)
                     s_idx = idx_rng.choice(len(x_chunk), size=n, replace=False)
@@ -189,44 +175,31 @@ def train_twae_regularized(config, dataset, tess=None, params=None):
                     s_prior = sample_unit_ball(
                         config.latent_dim, n,
                         derive_rng(config.seed, epoch, c, step, _SUPPORT_PRIOR))
-                    s_seed = _derive_seed(config.seed, epoch, c, step, _SUPPORT_EST)
-                    _, _, g_support = loss_and_grad(
-                        params, s_batch, s_prior, config.lam, config.estimator,
-                        config.estimator_config, seed=s_seed)
+                    s_seed = derive_seed(config.seed, epoch, c, step, _SUPPORT_EST)
+                    _, _, g_support = _loss(config, params, s_batch, s_prior, s_seed)
                     cached = (s_batch, s_prior, s_seed, g_support)
-                params, adam = adam_step(params, adam, g)
+                params, adam = adam_step(params, adam, grads)
                 step_ms = (time.perf_counter() - t1) * 1e3
-                log.add(epoch, c, k, recon, latent, lcm_ms, step_ms)
+                log.add(epoch, c, label, recon, latent, lcm_ms, step_ms)
     return params, log
+
+
+def train_twae(config, dataset, tess=None, params=None):
+    """Tessellated training: per chunk, encode all points, solve the
+    capacitated least-cost assignment to the generators, then take one
+    Adam step per region against prior samples drawn inside that region.
+    config.alpha is ignored."""
+    return _train(config, dataset, tess, params, _tessellated_batches, alpha=0.0)
+
+
+def train_twae_regularized(config, dataset, tess=None, params=None):
+    """train_twae plus the non-identical-batch correction weighted by
+    config.alpha (see _train)."""
+    return _train(config, dataset, tess, params, _tessellated_batches, config.alpha)
 
 
 def train_baseline(config, dataset, tess=None, params=None):
     """Non-tessellated control: same loss and optimizer, random batches of
-    size chunk_size/m and prior samples from the whole ball."""
-    # the tessellation is only validated for config parity, never used
-    tess, params, adam, n_chunks = _init(config, dataset, tess, params)
-    n = config.region_batch
-    log = MetricsLog()
-    for epoch in range(config.epochs):
-        for c in range(n_chunks):
-            x_chunk = dataset.points[c * config.chunk_size:(c + 1) * config.chunk_size]
-            perm = derive_rng(config.seed, epoch, c, 0, _BATCH_SHUFFLE).permutation(
-                config.chunk_size)
-            for step in range(config.m):
-                # batch composition is random; index order is normalized so
-                # that the m=1 case reduces bit-exactly to train_twae
-                idx = np.sort(perm[step * n:(step + 1) * n])
-                batch = x_chunk[idx]
-                prior = sample_unit_ball(
-                    config.latent_dim, n,
-                    derive_rng(config.seed, epoch, c, step, _PRIOR))
-                t1 = time.perf_counter()
-                recon, latent, grads = loss_and_grad(
-                    params, batch, prior, config.lam, config.estimator,
-                    config.estimator_config,
-                    seed=_derive_seed(config.seed, epoch, c, step, _EST))
-                _check_finite(recon, latent, epoch, c, step)
-                params, adam = adam_step(params, adam, grads)
-                step_ms = (time.perf_counter() - t1) * 1e3
-                log.add(epoch, c, step, recon, latent, 0.0, step_ms)
-    return params, log
+    size chunk_size/m and prior samples from the whole ball.  The
+    tessellation is only validated for config parity, never used."""
+    return _train(config, dataset, tess, params, _random_batches, alpha=0.0)

@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from tessae.batch_design import (AssignmentPlan, distance_matrix, lcm_assign,
-                                 optimal_assign)
+from tessae.batch_design import (AssignmentPlan, _finalize, distance_matrix,
+                                 lcm_assign, optimal_assign, sq_dists)
 
 
 def brute_force_cost(points, generators, capacity):
@@ -29,6 +29,22 @@ def test_distance_matrix_guards():
         distance_matrix(np.zeros((3, 2)), np.zeros((2, 2)))
     with pytest.raises(ValueError):
         distance_matrix(np.zeros((4, 2)), np.zeros((4, 3)))
+
+
+def test_sq_dists_clamps_cancellation():
+    # the expanded form cancels to small negatives on the diagonal
+    a = np.random.default_rng(0).standard_normal((200, 3)) * 1e3
+    d2 = sq_dists(a, a)
+    assert d2.min() == 0.0
+    assert d2[1, 0] == pytest.approx(((a[0] - a[1]) ** 2).sum())
+
+
+def test_finalize_rejects_infeasible_plan():
+    # a raised error, not an assert, so that python -O keeps the check
+    points = np.zeros((4, 1))
+    generators = np.array([[0.0], [1.0]])
+    with pytest.raises(RuntimeError, match="infeasible"):
+        _finalize(points, generators, np.array([0, 0, 0, 1]), 2)
 
 
 def test_lcm_spec_instance():

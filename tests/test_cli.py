@@ -5,6 +5,7 @@ import pytest
 
 from tessae.cli import main
 from tessae.data import write_idx_images
+from tessae.trainer import TrainingAborted
 
 
 def run(tmp_path, *argv):
@@ -127,3 +128,31 @@ def test_rates_small(tmp_path):
                  "--trials", "20", "--projections", "64",
                  "--out", str(out)]) == 0
     assert (out / "rates_qn.csv").exists()
+
+
+def test_config_equals_form_is_read(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dim = 2\nm = 4\nseed = 3\n")
+    out = tmp_path / "out"
+    assert main(["cvt", f"--config={cfg}", "--out", str(out)]) == 0
+    snapshot = json.loads((out / "resolved_config.json").read_text())
+    assert (snapshot["dim"], snapshot["m"], snapshot["seed"]) == (2, 4, 3)
+
+
+def test_config_without_value_is_usage_error(tmp_path, capsys):
+    assert main(["cvt", "--dim", "2", "--m", "2", "--out", str(tmp_path / "o"),
+                 "--config"]) == 2
+    err = capsys.readouterr().err
+    assert "--config" in err and "Traceback" not in err
+
+
+def test_run_error_is_one_line_exit_2(tmp_path, monkeypatch, capsys):
+    def abort(*args, **kwargs):
+        raise TrainingAborted("non-finite loss at epoch 0 chunk 0 region 1")
+    monkeypatch.setattr("tessae.cli.train_twae", abort)
+    code = main(["train", "--count", "80", "--n-chunk", "40", "--m", "4",
+                 "--epochs", "1", "--hidden", "8", "--projections", "8",
+                 "--out", str(tmp_path / "t")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: TrainingAborted: non-finite loss at epoch 0 chunk 0 region 1\n"

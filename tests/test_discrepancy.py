@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from tessae.discrepancy import (DiscrepancyEstimate, default_pivot_radius,
-                                gsw2_circular, gsw2_gradient, gw2, gw2_gradient,
-                                max_sw2, maxsw2_gradient, sw2, sw2_gradient,
-                                w2_1d_sorted, wasserstein_exact)
+                                gsw2_circular, gsw2_gradient, gsw2_value_and_grad,
+                                gw2, gw2_gradient, max_sw2, maxsw2_gradient, sw2,
+                                sw2_gradient, w2_1d_sorted, wasserstein_exact)
 
 
 def fd_gradient(fn, a, eps=1e-6):
@@ -176,6 +176,21 @@ def test_gsw2_gradient_finite_differences():
     g = gsw2_gradient(a, b, 32, r, seed=6)
     fd = fd_gradient(lambda x: gsw2_circular(x, b, 32, r, seed=6).value, a)
     assert np.abs(g - fd).max() / np.abs(fd).max() <= 1e-4
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_gsw2_fused_value_equals_sort_only_value(ties):
+    # the value from the argsorted differences is bit-equal to the value
+    # from np.sort, also where features tie
+    rng = np.random.default_rng(5)
+    for trial in range(20):
+        a = rng.standard_normal((12, 3))
+        b = rng.standard_normal((12, 3))
+        if ties:
+            a, b = np.round(a), np.round(b)
+        seed = np.random.SeedSequence(trial)
+        assert gsw2_value_and_grad(a, b, 32, seed=seed)[0] == \
+            gsw2_circular(a, b, 32, seed=seed)
 
 
 def test_gw2_identical_zero():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,50 @@ def test_alpha_zero_matches_plain(ring):
     assert params_equal(p_plain, p_reg)
     assert [r["latent"] for r in log_plain.records] == \
            [r["latent"] for r in log_reg.records]
+
+
+# sha256 of the final parameters and the logged (recon, latent) series of
+# each trainer x estimator on small_config.  Generated by running
+# trajectory_digest at the commit before the three training loops were
+# merged into one, so a refactor of the loop or the estimators that moves
+# any bit fails here.  The bits depend on the numpy/BLAS build.
+TRAJECTORY_DIGESTS = {
+    ("train_twae", "SW"): "979af4fbf3907332c9680d024245254ee417ba4856bf767c4a42b0c72aa519fc",
+    ("train_twae", "GSW"): "f60b2354a4e585fe38443554b4af67fc3c8cb6a2f8d2e0bc9ed2a0308f4d03cf",
+    ("train_twae", "MAXSW"): "3ff1e1570f5c9c13efe928bd1bd6e9c201a515472d4db854ab6e10f42c4b4ed3",
+    ("train_twae", "GW"): "9e9909d4ef44378c969e02a536605778fb46202a0012ba5b3390c3e288b887dd",
+    ("train_twae_regularized", "SW"):
+        "f9ea5fc43cdefa27d6a16fe5c6222fe867effa520fd869f33ae1320e5d23bdfd",
+    ("train_twae_regularized", "GSW"):
+        "d43525c71aaf9df70d2d3a85c9a41414103e137f03b794aae2bef385b11e7118",
+    ("train_twae_regularized", "MAXSW"):
+        "2e8c08cb5cc09219f0c6f44e2b647c9a727e4ac321612ecfbb07420f7c8362b0",
+    ("train_twae_regularized", "GW"):
+        "804943e0a88ae70319221dcdceee1a37e50bfc2223bd9a5fe57366c9e18dda20",
+    ("train_baseline", "SW"): "044096a7989f3192fdc3c3d43871d44ea973d76b05de2b68bddb259052e8c179",
+    ("train_baseline", "GSW"): "94ec6934f188d42156847844681dc92a91cf84910c639c2a0b4029e01698aa3a",
+    ("train_baseline", "MAXSW"): "627e54d06e7564cffdfc7fcb373d5418a2d971fefffbc3b836f4c0878bc87987",
+    ("train_baseline", "GW"): "70d37259b350156f256b5828553f0664756f0a4e2288bd37f888a2c0721b4683",
+}
+
+
+def trajectory_digest(params, log):
+    h = hashlib.sha256()
+    for stack in (params.encoder, params.decoder):
+        for w, b in stack:
+            h.update(np.ascontiguousarray(w, dtype="<f8").tobytes())
+            h.update(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    h.update(np.array([(r["recon"], r["latent"]) for r in log.records],
+                      dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("trainer, estimator", sorted(TRAJECTORY_DIGESTS))
+def test_trajectory_pinned(ring, trainer, estimator):
+    train = {"train_twae": train_twae, "train_twae_regularized": train_twae_regularized,
+             "train_baseline": train_baseline}[trainer]
+    params, log = train(small_config(estimator=estimator), ring)
+    assert trajectory_digest(params, log) == TRAJECTORY_DIGESTS[trainer, estimator]
 
 
 def test_zero_learning_rate_keeps_params(ring):
