@@ -2,6 +2,7 @@
 composite reconstruction + latent-discrepancy loss, and Adam."""
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,16 +197,25 @@ def _param_arrays(params):
             yield b
 
 
+def _replace_atomically(path, data, mode):
+    """Write data to a temp file next to path, then rename it over path, so
+    a reader sees the old file or the new one, never a partial one."""
+    tmp = f"{path}.tmp"
+    with open(tmp, mode) as fh:
+        fh.write(data)
+    os.replace(tmp, path)
+
+
 def save_checkpoint(params, path_prefix, seed=0, step=0):
     """Manifest JSON plus a little-endian float64 blob of all arrays in
-    manifest order (encoder W,b pairs then decoder W,b pairs)."""
+    manifest order (encoder W,b pairs then decoder W,b pairs).  Each file
+    is replaced atomically, the blob first."""
     manifest = {"layer_sizes": list(params.layer_sizes),
                 "latent_dim": params.latent_dim, "seed": seed, "step": step}
-    with open(f"{path_prefix}.json", "w") as fh:
-        json.dump(manifest, fh)
-    with open(f"{path_prefix}.bin", "wb") as fh:
-        for arr in _param_arrays(params):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    blob = b"".join(np.ascontiguousarray(arr, dtype="<f8").tobytes()
+                    for arr in _param_arrays(params))
+    _replace_atomically(f"{path_prefix}.bin", blob, "wb")
+    _replace_atomically(f"{path_prefix}.json", json.dumps(manifest), "w")
 
 
 def load_checkpoint(path_prefix):
@@ -216,6 +226,9 @@ def load_checkpoint(path_prefix):
     offset = 0
     for stack in (params.encoder, params.decoder):
         for idx, (w, b) in enumerate(stack):
+            if blob.size - offset < w.size + b.size:
+                raise ValueError(f"checkpoint blob has {blob.size} values; the layer "
+                                 f"of shape {w.shape} needs {offset + w.size + b.size}")
             w_new = blob[offset:offset + w.size].reshape(w.shape).copy()
             offset += w.size
             b_new = blob[offset:offset + b.size].copy()

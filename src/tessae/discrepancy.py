@@ -69,14 +69,16 @@ def w2_1d_sorted(a, b):
     return float(np.mean((np.sort(a) - np.sort(b)) ** 2))
 
 
-def _directions(dim, count, rng):
+def directions(dim, count, rng):
+    """count random unit directions in R^dim, shape (count, dim)."""
     w = rng.standard_normal((count, dim))
     norms = np.linalg.norm(w, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     return w / norms
 
 
-def _sw2_projected(a, b, dirs):
+def sw2_projected(a, b, dirs):
+    """Mean 1-D sorted squared W2 of a and b projected on the rows of dirs."""
     pa = np.sort(a @ dirs.T, axis=0)
     pb = np.sort(b @ dirs.T, axis=0)
     return float(((pa - pb) ** 2).mean())
@@ -86,8 +88,8 @@ def sw2(a, b, num_projections=1000, seed=0):
     """Sliced squared W2: average 1-D sorted W2 over num_projections
     random directions on the unit sphere."""
     a, b = _check_pair(a, b)
-    dirs = _directions(a.shape[1], num_projections, as_rng(seed))
-    return DiscrepancyEstimate(_sw2_projected(a, b, dirs), "SW", num_projections)
+    dirs = directions(a.shape[1], num_projections, as_rng(seed))
+    return DiscrepancyEstimate(sw2_projected(a, b, dirs), "SW", num_projections)
 
 
 def _matched_diffs(pa, pb):
@@ -106,7 +108,7 @@ def sw2_gradient(a, b, num_projections=1000, seed=0):
     """Gradient of sw2 with respect to a; the same seed reproduces the
     matchings of the paired sw2 call."""
     a, b = _check_pair(a, b)
-    dirs = _directions(a.shape[1], num_projections, as_rng(seed))
+    dirs = directions(a.shape[1], num_projections, as_rng(seed))
     _, coeff = _matched_diffs(a @ dirs.T, b @ dirs.T)
     return (2.0 / (len(a) * num_projections)) * (coeff @ dirs)
 
@@ -118,7 +120,7 @@ def max_sw2(a, b, ascent_iters=10, step_size=0.1, seed=0):
     if ascent_iters < 1:
         raise ValueError("ascent_iters must be >= 1")
     n, d = a.shape
-    w = _directions(d, 1, as_rng(seed))[0]
+    w = directions(d, 1, as_rng(seed))[0]
 
     def value_grad(w):
         pa, pb = a @ w, b @ w
@@ -169,7 +171,7 @@ def _gsw_pivots(a, b, num_projections, pivot_radius, seed):
         pivot_radius = default_pivot_radius(a, b)
     if pivot_radius <= 0:
         raise ValueError("pivot_radius must be positive")
-    return pivot_radius * _directions(a.shape[1], num_projections, as_rng(seed))
+    return pivot_radius * directions(a.shape[1], num_projections, as_rng(seed))
 
 
 def _gsw_features(x, pivots):

@@ -9,8 +9,7 @@ import numpy as np
 
 from .autoencoder import encode
 from .batch_design import lcm_assign, optimal_assign
-from .discrepancy import sw2, wasserstein_exact
-from .discrepancy import _directions, _sw2_projected  # shared-direction study internals
+from .discrepancy import directions, sw2, sw2_projected, wasserstein_exact
 from .seeding import derive_rng, derive_seed
 from .tessellation import lloyd_cvt, sample_region, sample_unit_ball
 
@@ -36,7 +35,7 @@ def _sw2_shared_dirs(a, b, dirs, chunk=256):
     total = 0.0
     for lo in range(0, len(dirs), chunk):
         d = dirs[lo:lo + chunk]
-        total += _sw2_projected(a, b, d) * len(d)
+        total += sw2_projected(a, b, d) * len(d)
     return total / len(dirs)
 
 
@@ -66,7 +65,7 @@ def rate_study_sw(dim, n_grid, trials, num_projections=1000, seed=0,
         raise ValueError("trials must be >= 20")
     if n_grid[0] < 32 or n_grid[-1] > 8192:
         raise ValueError("n_grid must lie in [32, 8192]")
-    dirs = _directions(dim, num_projections, derive_rng(seed, 0))
+    dirs = directions(dim, num_projections, derive_rng(seed, 0))
 
     def draw_p(n, rng):
         return rng.standard_normal((n, dim))

@@ -5,6 +5,7 @@ them by shuffling."""
 
 import csv
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,7 +92,11 @@ def _init(config, dataset, tess, params):
     if params is None:
         params = init_params(config.layer_sizes, config.latent_dim, config.seed)
     adam = AdamState.init(params, lr=config.learning_rate)
-    n_chunks = len(dataset) // config.chunk_size
+    n_chunks, tail = divmod(len(dataset), config.chunk_size)
+    if tail:
+        warnings.warn(f"dataset of {len(dataset)} points is not a multiple of chunk_size "
+                      f"{config.chunk_size}: the last {tail} points are never trained on",
+                      stacklevel=4)  # the caller of the public trainer
     return tess, params, adam, n_chunks
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,39 @@ def test_checkpoint_roundtrip(tmp_path):
     assert params_equal(loaded, p)
     assert manifest == {"layer_sizes": [3, 5], "latent_dim": 2,
                         "seed": 12, "step": 7}
+
+
+def test_checkpoint_write_leaves_no_temp_files(tmp_path):
+    prefix = str(tmp_path / "ckpt")
+    save_checkpoint(init_params([3, 5], 2, seed=12), prefix)
+    save_checkpoint(init_params([3, 5], 2, seed=13), prefix)  # replaces both
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin", "ckpt.json"]
+    loaded, _ = load_checkpoint(prefix)
+    assert params_equal(loaded, init_params([3, 5], 2, seed=13))
+
+
+def test_checkpoint_truncated_blob(tmp_path):
+    p = init_params([3, 5], 2, seed=13)
+    prefix = str(tmp_path / "ckpt")
+    save_checkpoint(p, prefix)
+    with open(prefix + ".bin", "r+b") as fh:
+        fh.truncate(8 * 20)  # into the second encoder layer
+    with pytest.raises(ValueError, match="blob has 20 values"):
+        load_checkpoint(prefix)
+
+
+@pytest.mark.parametrize("layer_sizes", [[3, 6], [3, 4], [4, 5]])
+def test_checkpoint_manifest_layer_mismatch(tmp_path, layer_sizes):
+    p = init_params([3, 5], 2, seed=13)
+    prefix = str(tmp_path / "ckpt")
+    save_checkpoint(p, prefix)
+    with open(prefix + ".json") as fh:
+        manifest = json.load(fh)
+    manifest["layer_sizes"] = layer_sizes
+    with open(prefix + ".json", "w") as fh:
+        json.dump(manifest, fh)
+    with pytest.raises(ValueError, match="checkpoint blob"):
+        load_checkpoint(prefix)
 
 
 def test_checkpoint_blob_mismatch(tmp_path):

@@ -1,10 +1,39 @@
+import hashlib
 import itertools
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tessae.batch_design import (AssignmentPlan, _finalize, distance_matrix,
                                  lcm_assign, optimal_assign, sq_dists)
+
+
+def global_walk_assign(points, generators, capacity):
+    """The greedy plan by its definition: walk the stable argsort of all
+    N*m distances (ties by row, then column) and take every entry whose
+    row is free and whose column has room.  lcm_assign must equal it."""
+    m = len(generators)
+    n_points = len(points)
+    dmat = distance_matrix(points, generators)
+    order = np.argsort(dmat, axis=None, kind="stable").tolist()
+    assignment = np.full(n_points, -1, dtype=int)
+    row_free = [True] * n_points
+    col_slots = [capacity] * m
+    remaining = n_points
+    for flat in order:
+        i, j = divmod(flat, m)
+        if row_free[i] and col_slots[j]:
+            assignment[i] = j
+            row_free[i] = False
+            col_slots[j] -= 1
+            remaining -= 1
+            if remaining == 0:
+                break
+    return _finalize(np.asarray(points, dtype=float),
+                     np.asarray(generators, dtype=float), assignment, capacity)
 
 
 def brute_force_cost(points, generators, capacity):
@@ -135,3 +164,65 @@ def test_plan_json_roundtrip():
     back = AssignmentPlan.from_json(plan.to_json())
     assert np.array_equal(back.assignment, plan.assignment)
     assert back.capacity == plan.capacity and back.cost == plan.cost
+
+
+@st.composite
+def tie_heavy_instances(draw):
+    """Points and generators on a small integer grid, so that distances
+    tie often, within a row and at the candidate cut; sometimes all
+    generators are one point."""
+    # m on both sides of lcm_assign's 32 candidates per row
+    m = draw(st.one_of(st.integers(1, 32), st.integers(33, 40)))
+    capacity = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 3))
+    span = draw(st.integers(1, 3))
+    grid = st.integers(-span, span)
+    points = draw(hnp.arrays(np.int64, (m * capacity, dim), elements=grid))
+    if draw(st.booleans()):
+        generators = np.repeat(draw(hnp.arrays(np.int64, (1, dim), elements=grid)), m, axis=0)
+    else:
+        generators = draw(hnp.arrays(np.int64, (m, dim), elements=grid))
+    return points.astype(float), generators.astype(float), capacity
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(tie_heavy_instances())
+def test_lcm_equals_global_walk(instance):
+    points, generators, capacity = instance
+    plan = lcm_assign(points, generators, capacity)
+    walk = global_walk_assign(points, generators, capacity)
+    assert np.array_equal(plan.assignment, walk.assignment)
+    assert plan.cost == walk.cost
+
+
+@pytest.mark.parametrize("m", [32, 33, 96])
+def test_lcm_equals_global_walk_without_ties(m):
+    # capacity 1 exhausts the candidate lists of the last rows
+    rng = np.random.default_rng(m)
+    for capacity in (1, 4):
+        z = rng.standard_normal((m * capacity, 5))
+        g = 0.3 * rng.standard_normal((m, 5))
+        plan = lcm_assign(z, g, capacity)
+        walk = global_walk_assign(z, g, capacity)
+        assert np.array_equal(plan.assignment, walk.assignment)
+        assert plan.cost == walk.cost
+
+
+def test_criterion_8_plan_pinned():
+    # the N=20000, m=400, d=64 instance of the acceptance test
+    # (tests/test_acceptance.py::test_criterion_08_assignment): replay the
+    # draws of its 200 small instances, then solve the large one.  The
+    # digest was generated by the global-order walk.
+    rng = np.random.default_rng(800)
+    for _ in range(200):
+        m = int(rng.integers(2, 9))
+        cap = int(rng.integers(1, 64 // m + 1))
+        rng.standard_normal((m * cap, 2))
+        rng.standard_normal((m, 2))
+    big_z = rng.standard_normal((20_000, 64))
+    big_g = rng.standard_normal((400, 64)) * 0.1
+    plan = lcm_assign(big_z, big_g, 50)
+    digest = hashlib.sha256(
+        np.ascontiguousarray(plan.assignment, dtype="<i8").tobytes()).hexdigest()
+    assert digest == "abd800138645802beeb9a3c405ebf796de30b1453faab5084ecd8a1b3f37b1ef"
+    assert plan.cost == 1204620.5030014915

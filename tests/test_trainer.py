@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,21 @@ def test_latent_loss_decreases(ring):
 def test_dataset_too_small(ring):
     with pytest.raises(ValueError):
         train_twae(small_config(chunk_size=400, m=4), ring)
+
+
+@pytest.mark.parametrize("trainer", [train_twae, train_twae_regularized, train_baseline])
+def test_dropped_tail_warns(trainer):
+    data = gen_gaussian_ring(8, 2.0, 0.2, 208, seed=0)  # 5 chunks of 40, 8 left over
+    with pytest.warns(UserWarning, match="the last 8 points are never trained on") as record:
+        _, log = trainer(small_config(epochs=1), data)
+    assert len(record) == 1
+    assert {r["chunk"] for r in log.records} == set(range(5))
+
+
+def test_whole_chunks_do_not_warn(ring):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        train_twae(small_config(epochs=1), ring)
 
 
 def test_tessellation_config_mismatch(ring):
