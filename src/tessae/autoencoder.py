@@ -20,19 +20,41 @@ class ForwardNumericalError(RuntimeError):
         self.layer = layer
 
 
+def _layer_shapes(layer_sizes, latent_dim):
+    """(fan_in, fan_out) of every layer in the flat order, encoder then
+    mirrored decoder, and the number of values they hold."""
+    if not layer_sizes or latent_dim < 1:
+        raise ValueError("layer_sizes nonempty and latent_dim >= 1 required")
+    dims = list(layer_sizes) + [latent_dim]
+    dims += dims[-2::-1]
+    shapes = list(zip(dims[:-1], dims[1:]))
+    return shapes, sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes)
+
+
 @dataclass
 class AutoEncoderParams:
-    encoder: list  # [(W, b), ...], W is (fan_in, fan_out)
-    decoder: list
+    """All parameters in one float64 vector: encoder W,b pairs, then
+    decoder W,b pairs, W of shape (fan_in, fan_out).  encoder and decoder
+    list (W, b) views into flat; write through them in place, since a list
+    entry replaced by a new array is no longer part of flat."""
+    flat: np.ndarray
     latent_dim: int
     layer_sizes: list
+    encoder: list = field(init=False, repr=False)
+    decoder: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.flat = np.asarray(self.flat, dtype=np.float64)
+        shapes, size = _layer_shapes(self.layer_sizes, self.latent_dim)
+        if self.flat.shape != (size,):
+            raise ValueError(f"parameter vector of shape {self.flat.shape}; "
+                             f"the layers need ({size},)")
+        parts = np.split(self.flat, np.cumsum([n for i, o in shapes for n in (i * o, o)])[:-1])
+        layers = [(w.reshape(shape), b) for shape, w, b in zip(shapes, parts[::2], parts[1::2])]
+        self.encoder, self.decoder = layers[:len(layers) // 2], layers[len(layers) // 2:]
 
     def copy(self):
-        return AutoEncoderParams(
-            encoder=[(w.copy(), b.copy()) for w, b in self.encoder],
-            decoder=[(w.copy(), b.copy()) for w, b in self.decoder],
-            latent_dim=self.latent_dim,
-            layer_sizes=list(self.layer_sizes))
+        return AutoEncoderParams(self.flat.copy(), self.latent_dim, list(self.layer_sizes))
 
 
 def init_params(layer_sizes, latent_dim, seed):
@@ -42,21 +64,12 @@ def init_params(layer_sizes, latent_dim, seed):
     the hidden layers; e.g. ([2, 4], 2) builds a 2-4-2 encoder and a
     2-4-2 decoder.  Weights ~ N(0, 2/fan_in), biases zero.
     """
-    if not layer_sizes or latent_dim < 1:
-        raise ValueError("layer_sizes nonempty and latent_dim >= 1 required")
     rng = as_rng(seed)
-    enc_dims = list(layer_sizes) + [latent_dim]
-    dec_dims = enc_dims[::-1]
-
-    def build(dims):
-        layers = []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            w = rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in)
-            layers.append((w, np.zeros(fan_out)))
-        return layers
-
-    return AutoEncoderParams(encoder=build(enc_dims), decoder=build(dec_dims),
-                             latent_dim=latent_dim, layer_sizes=list(layer_sizes))
+    params = AutoEncoderParams(np.zeros(_layer_shapes(layer_sizes, latent_dim)[1]),
+                               latent_dim, list(layer_sizes))
+    for w, _ in params.encoder + params.decoder:
+        w[...] = rng.standard_normal(w.shape) * np.sqrt(2.0 / w.shape[0])
+    return params
 
 
 def _forward(layers, x, stack):
@@ -150,8 +163,8 @@ def loss_and_grad(params, batch_x, prior_batch, lam, estimator="SW",
 
 @dataclass
 class AdamState:
-    m: dict
-    v: dict
+    m: np.ndarray  # first and second moments, shaped like params.flat
+    v: np.ndarray
     step: int = 0
     lr: float = 1e-3
     beta1: float = 0.9
@@ -160,41 +173,23 @@ class AdamState:
 
     @classmethod
     def init(cls, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        zeros = lambda layers: [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
-        return cls(m={"encoder": zeros(params.encoder), "decoder": zeros(params.decoder)},
-                   v={"encoder": zeros(params.encoder), "decoder": zeros(params.decoder)},
+        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat),
                    lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
 
 def adam_step(params, state, grads):
-    """One Adam update with bias correction; returns (params, state)."""
+    """One Adam update with bias correction on the gradient dict that
+    loss_and_grad returns; returns (new params, state)."""
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     scale = state.lr * np.sqrt(1.0 - b2 ** t) / (1.0 - b1 ** t)
-    new = {"encoder": [], "decoder": []}
-    for stack in ("encoder", "decoder"):
-        layers = getattr(params, stack)
-        for idx, (w, b) in enumerate(layers):
-            updated = []
-            for arr, g, slot in ((w, grads[stack][idx][0], 0), (b, grads[stack][idx][1], 1)):
-                m = state.m[stack][idx][slot]
-                v = state.v[stack][idx][slot]
-                m[...] = b1 * m + (1 - b1) * g
-                v[...] = b2 * v + (1 - b2) * g * g
-                updated.append(arr - scale * m / (np.sqrt(v) + state.eps))
-            new[stack].append((updated[0], updated[1]))
-    out = AutoEncoderParams(encoder=new["encoder"], decoder=new["decoder"],
-                            latent_dim=params.latent_dim,
-                            layer_sizes=list(params.layer_sizes))
-    return out, state
-
-
-def _param_arrays(params):
-    for stack in (params.encoder, params.decoder):
-        for w, b in stack:
-            yield w
-            yield b
+    g = np.concatenate([arr.ravel() for stack in ("encoder", "decoder")
+                        for layer in grads[stack] for arr in layer])
+    state.m = b1 * state.m + (1 - b1) * g
+    state.v = b2 * state.v + (1 - b2) * g * g
+    flat = params.flat - scale * state.m / (np.sqrt(state.v) + state.eps)
+    return AutoEncoderParams(flat, params.latent_dim, list(params.layer_sizes)), state
 
 
 def _replace_atomically(path, data, mode):
@@ -207,33 +202,25 @@ def _replace_atomically(path, data, mode):
 
 
 def save_checkpoint(params, path_prefix, seed=0, step=0):
-    """Manifest JSON plus a little-endian float64 blob of all arrays in
-    manifest order (encoder W,b pairs then decoder W,b pairs).  Each file
-    is replaced atomically, the blob first."""
+    """Manifest JSON plus params.flat as a little-endian float64 blob
+    (encoder W,b pairs then decoder W,b pairs).  Each file is replaced
+    atomically, the blob first."""
     manifest = {"layer_sizes": list(params.layer_sizes),
                 "latent_dim": params.latent_dim, "seed": seed, "step": step}
-    blob = b"".join(np.ascontiguousarray(arr, dtype="<f8").tobytes()
-                    for arr in _param_arrays(params))
-    _replace_atomically(f"{path_prefix}.bin", blob, "wb")
+    _replace_atomically(f"{path_prefix}.bin", params.flat.astype("<f8").tobytes(), "wb")
     _replace_atomically(f"{path_prefix}.json", json.dumps(manifest), "w")
 
 
 def load_checkpoint(path_prefix):
     with open(f"{path_prefix}.json") as fh:
         manifest = json.load(fh)
-    params = init_params(manifest["layer_sizes"], manifest["latent_dim"], seed=0)
+    for key in ("layer_sizes", "latent_dim"):
+        if key not in manifest:
+            raise ValueError(f"checkpoint manifest {path_prefix}.json has no {key!r}")
+    layer_sizes, latent_dim = manifest["layer_sizes"], manifest["latent_dim"]
     blob = np.fromfile(f"{path_prefix}.bin", dtype="<f8")
-    offset = 0
-    for stack in (params.encoder, params.decoder):
-        for idx, (w, b) in enumerate(stack):
-            if blob.size - offset < w.size + b.size:
-                raise ValueError(f"checkpoint blob has {blob.size} values; the layer "
-                                 f"of shape {w.shape} needs {offset + w.size + b.size}")
-            w_new = blob[offset:offset + w.size].reshape(w.shape).copy()
-            offset += w.size
-            b_new = blob[offset:offset + b.size].copy()
-            offset += b.size
-            stack[idx] = (w_new, b_new)
-    if offset != blob.size:
-        raise ValueError("checkpoint blob size does not match manifest")
-    return params, manifest
+    size = _layer_shapes(layer_sizes, latent_dim)[1]
+    if blob.size != size:
+        raise ValueError(f"checkpoint blob has {blob.size} values; layer_sizes "
+                         f"{layer_sizes} and latent_dim {latent_dim} need {size}")
+    return AutoEncoderParams(blob, latent_dim, layer_sizes), manifest

@@ -113,6 +113,15 @@ def sw2_gradient(a, b, num_projections=1000, seed=0):
     return (2.0 / (len(a) * num_projections)) * (coeff @ dirs)
 
 
+def _matched_1d(a, b, w):
+    """a and b projected on w and matched by stable sort: a's sort order,
+    b's sort order and the sorted differences."""
+    pa, pb = a @ w, b @ w
+    ia = np.argsort(pa, kind="stable")
+    ib = np.argsort(pb, kind="stable")
+    return ia, ib, pa[ia] - pb[ib]
+
+
 def max_sw2(a, b, ascent_iters=10, step_size=0.1, seed=0):
     """Max-sliced squared W2: projected gradient ascent on the sphere for
     the worst direction.  Returns (estimate, direction)."""
@@ -123,13 +132,8 @@ def max_sw2(a, b, ascent_iters=10, step_size=0.1, seed=0):
     w = directions(d, 1, as_rng(seed))[0]
 
     def value_grad(w):
-        pa, pb = a @ w, b @ w
-        ia = np.argsort(pa, kind="stable")
-        ib = np.argsort(pb, kind="stable")
-        diff = pa[ia] - pb[ib]
-        v = float((diff ** 2).mean())
-        g = (2.0 / n) * diff @ (a[ia] - b[ib])
-        return v, g
+        ia, ib, diff = _matched_1d(a, b, w)
+        return float((diff ** 2).mean()), (2.0 / n) * diff @ (a[ia] - b[ib])
 
     v, g = value_grad(w)
     best_v, best_w = v, w.copy()
@@ -150,10 +154,7 @@ def maxsw2_gradient(a, b, direction):
     a, b = _check_pair(a, b)
     n = len(a)
     w = np.asarray(direction, dtype=float)
-    pa, pb = a @ w, b @ w
-    ia = np.argsort(pa, kind="stable")
-    ib = np.argsort(pb, kind="stable")
-    diff = pa[ia] - pb[ib]
+    ia, _, diff = _matched_1d(a, b, w)
     grad = np.zeros_like(a)
     grad[ia] = (2.0 / n) * diff[:, None] * w[None, :]
     return grad

@@ -94,10 +94,9 @@ def rate_study_sw(dim, n_grid, trials, num_projections=1000, seed=0,
                                        ses=ses.tolist(), slope=slope,
                                        intercept=intercept))
     if out_csv:
-        results[0].to_csv(out_csv.replace(".csv", "_qn.csv")
-                          if out_csv.endswith(".csv") else out_csv + "_qn.csv")
-        results[1].to_csv(out_csv.replace(".csv", "_pnpn.csv")
-                          if out_csv.endswith(".csv") else out_csv + "_pnpn.csv")
+        stem = out_csv.removesuffix(".csv")
+        results[0].to_csv(stem + "_qn.csv")
+        results[1].to_csv(stem + "_pnpn.csv")
     return results[0], results[1]
 
 

@@ -64,6 +64,9 @@ class Tessellation:
     @classmethod
     def from_json(cls, text):
         obj = json.loads(text)
+        for key in ("dim", "generators", "kind"):
+            if key not in obj:
+                raise ValueError(f"tessellation JSON has no {key!r}")
         return cls(dim=obj["dim"], generators=np.array(obj["generators"]),
                    kind=obj["kind"], shell_radius=obj.get("shell_radius"))
 

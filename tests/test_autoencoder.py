@@ -1,7 +1,12 @@
+import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tessae.autoencoder import (AdamState, AutoEncoderParams,
                                 ForwardNumericalError, adam_step, decode,
@@ -233,4 +238,73 @@ def test_checkpoint_blob_mismatch(tmp_path):
     with open(prefix + ".bin", "ab") as fh:
         fh.write(b"\x00" * 8)
     with pytest.raises(ValueError):
+        load_checkpoint(prefix)
+
+
+def test_checkpoint_blob_pinned(tmp_path):
+    # generated by the per-layer writer that preceded the flat vector, so
+    # checkpoints written before it still load
+    prefix = str(tmp_path / "ckpt")
+    save_checkpoint(init_params([3, 5], 2, seed=12), prefix)
+    digest = hashlib.sha256(Path(prefix + ".bin").read_bytes()).hexdigest()
+    assert digest == "e3a0a705d4ee56d5df82bc68b01ab59b9a758a3d873659a0b275dcae80d46781"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=3), st.integers(1, 4),
+       st.integers(0, 2**32 - 1))
+def test_checkpoint_roundtrip_any_shape(layer_sizes, latent_dim, seed):
+    p = init_params(layer_sizes, latent_dim, seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        prefix = str(Path(tmp) / "ckpt")
+        save_checkpoint(p, prefix)
+        loaded, manifest = load_checkpoint(prefix)
+    assert loaded.flat.tobytes() == p.flat.tobytes()
+    assert (manifest["layer_sizes"], manifest["latent_dim"]) == (layer_sizes, latent_dim)
+    for (w, b), (lw, lb) in zip(p.encoder + p.decoder, loaded.encoder + loaded.decoder):
+        assert lw.shape == w.shape and lw.tobytes() == w.tobytes()
+        assert lb.shape == b.shape and lb.tobytes() == b.tobytes()
+        assert np.shares_memory(lw, loaded.flat) and np.shares_memory(lb, loaded.flat)
+
+
+def test_views_write_through_and_copy_rebinds():
+    p = init_params([3, 5], 2, seed=12)
+    p.encoder[1][0][0, 0] = 7.0  # first value of the second encoder W
+    assert p.flat[3 * 5 + 5] == 7.0
+    p.decoder[-1][1][:] = 1.0  # the last bias ends the vector
+    assert np.all(p.flat[-3:] == 1.0)
+    q = p.copy()
+    q.decoder[0][0][...] = 0.0
+    assert np.all(p.decoder[0][0] != 0.0)
+    for w, b in q.encoder + q.decoder:
+        assert np.shares_memory(w, q.flat) and not np.shares_memory(w, p.flat)
+        assert np.shares_memory(b, q.flat) and not np.shares_memory(b, p.flat)
+    assert q.flat.tobytes() != p.flat.tobytes()
+
+
+@pytest.mark.parametrize("flat", [np.zeros(64), np.zeros(66), np.zeros((65, 1))])
+def test_wrong_size_vector_rejected(flat):
+    assert AutoEncoderParams(np.zeros(65), 2, [3, 5]).flat.shape == (65,)
+    with pytest.raises(ValueError, match="parameter vector"):
+        AutoEncoderParams(flat, 2, [3, 5])
+
+
+def test_adam_moments_are_flat():
+    p = init_params([2, 3], 2, seed=9)
+    state = AdamState.init(p)
+    _, _, grads = loss_and_grad(p, np.ones((4, 2)), np.zeros((4, 2)), 0.0)
+    new_p, state = adam_step(p, state, grads)
+    assert state.m.shape == state.v.shape == p.flat.shape
+    assert not np.shares_memory(new_p.flat, p.flat)
+
+
+def test_checkpoint_manifest_without_layers_rejected(tmp_path):
+    prefix = str(tmp_path / "ckpt")
+    save_checkpoint(init_params([3], 2, seed=0), prefix)
+    with open(prefix + ".json") as fh:
+        manifest = json.load(fh)
+    manifest["layer_sizes"] = []
+    with open(prefix + ".json", "w") as fh:
+        json.dump(manifest, fh)
+    with pytest.raises(ValueError, match="layer_sizes nonempty"):
         load_checkpoint(prefix)

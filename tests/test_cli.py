@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from tessae.autoencoder import init_params, save_checkpoint
 from tessae.cli import main
 from tessae.data import write_idx_images
+from tessae.tessellation import lloyd_cvt
 from tessae.trainer import TrainingAborted
 
 
@@ -156,3 +158,38 @@ def test_run_error_is_one_line_exit_2(tmp_path, monkeypatch, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err == "error: TrainingAborted: non-finite loss at epoch 0 chunk 0 region 1\n"
+
+
+def gap_inputs(tmp_path):
+    save_checkpoint(init_params([2, 8], 2, seed=0), str(tmp_path / "ckpt"))
+    tess, _ = lloyd_cvt(2, 4, seed=0)
+    (tmp_path / "tess.json").write_text(tess.to_json())
+    return tmp_path / "ckpt.json", tmp_path / "tess.json"
+
+
+def run_gap(tmp_path):
+    return main(["gap", "--checkpoint", str(tmp_path / "ckpt"),
+                 "--tessellation", str(tmp_path / "tess.json"), "--count", "200",
+                 "--n", "10", "--trials", "2", "--projections", "16",
+                 "--out", str(tmp_path / "gap")])
+
+
+@pytest.mark.parametrize("key", ["latent_dim", "layer_sizes"])
+def test_gap_checkpoint_without_key_is_one_line_exit_2(tmp_path, capsys, key):
+    manifest_path, _ = gap_inputs(tmp_path)
+    manifest = json.loads(manifest_path.read_text())
+    del manifest[key]
+    manifest_path.write_text(json.dumps(manifest))
+    assert run_gap(tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err
+
+
+def test_gap_tessellation_without_generators_is_one_line_exit_2(tmp_path, capsys):
+    _, tess_path = gap_inputs(tmp_path)
+    obj = json.loads(tess_path.read_text())
+    del obj["generators"]
+    tess_path.write_text(json.dumps(obj))
+    assert run_gap(tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'generators'" in err

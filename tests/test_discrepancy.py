@@ -1,7 +1,10 @@
 import json
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tessae.discrepancy import (DiscrepancyEstimate, default_pivot_radius,
                                 gsw2_circular, gsw2_gradient, gsw2_value_and_grad,
@@ -265,3 +268,22 @@ def test_gw2_gradient_pure_mean_shift():
 def test_estimate_json():
     obj = json.loads(sw2(np.zeros((2, 2)), np.ones((2, 2)), 4, seed=0).to_json())
     assert obj["estimator"] == "SW" and obj["projections_used"] == 4
+
+
+@st.composite
+def point_set_pairs(draw):
+    n = draw(st.integers(1, 12))
+    dim = draw(st.integers(1, 4))
+    values = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
+    a = draw(hnp.arrays(np.float64, (n, dim), elements=values))
+    b = draw(hnp.arrays(np.float64, (n, dim), elements=values))
+    return a, b
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(point_set_pairs(), st.integers(1, 16), st.integers(0, 2**32 - 1))
+def test_sw2_nonnegative_and_symmetric(pair, num_projections, seed):
+    a, b = pair
+    value = sw2(a, b, num_projections, seed).value
+    assert value >= 0.0
+    assert value == sw2(b, a, num_projections, seed).value

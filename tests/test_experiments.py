@@ -135,3 +135,12 @@ def test_gap_study_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "region,sw2,baseline"
     assert lines[-1].startswith("global,")
+
+
+def test_rate_study_writes_next_to_out_csv(tmp_path):
+    # a ".csv" earlier in the path stays as it is
+    (tmp_path / "runs.csv").mkdir()
+    rate_study_sw(2, [32, 64], trials=20, num_projections=8, ref_n=256,
+                  out_csv=str(tmp_path / "runs.csv" / "rates.csv"))
+    assert sorted(p.name for p in (tmp_path / "runs.csv").iterdir()) == \
+        ["rates_pnpn.csv", "rates_qn.csv"]

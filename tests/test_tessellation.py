@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tessae.tessellation import (Tessellation, cvt_energy, e8_roots,
                                  e8_tessellation, kmeans_cvt, lloyd_cvt,
@@ -238,3 +240,22 @@ def test_sample_region_composition_covers_ball():
     mean = np.concatenate(parts).mean(axis=0)
     se = np.sqrt(1.0 / 4.0 / 10_000)  # per-coordinate sd of the 2-ball
     assert np.all(np.abs(mean) < 3 * se + 0.01)
+
+
+@st.composite
+def tessellations(draw):
+    dim = draw(st.integers(1, 4))
+    # coordinates in [-1, 1] / sqrt(dim) keep every generator in the ball
+    coord = st.floats(-1, 1, allow_nan=False).map(lambda c: c / np.sqrt(dim))
+    rows = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=8,
+                         unique_by=lambda r: tuple(c + 0.0 for c in r)))
+    shell = draw(st.none() | st.floats(0.01, 1.0))
+    return Tessellation(dim=dim, generators=np.array(rows), kind="CVT", shell_radius=shell)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(tessellations())
+def test_tessellation_json_roundtrip_any(tess):
+    back = Tessellation.from_json(tess.to_json())
+    assert back.generators.tobytes() == tess.generators.tobytes()
+    assert (back.dim, back.kind, back.shell_radius) == (tess.dim, tess.kind, tess.shell_radius)
