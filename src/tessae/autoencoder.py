@@ -135,8 +135,8 @@ def loss_and_grad(params, batch_x, prior_batch, lam, estimator="SW",
     loss = (1/n) sum ||x - dec(enc(x))||^2
            + lam * estimator^2(enc(batch_x), prior_batch)
 
-    Returns (recon_loss, latent_loss, grads) with grads shaped like the
-    parameters ({"encoder": [...], "decoder": [...]}).
+    Returns (recon_loss, latent_loss, grad), grad one float64 vector laid
+    out like params.flat.
     """
     batch_x = np.asarray(batch_x, dtype=float)
     prior_batch = np.asarray(prior_batch, dtype=float)
@@ -158,7 +158,11 @@ def loss_and_grad(params, batch_x, prior_batch, lam, estimator="SW",
     dec_grads, dz_recon = _backward(params.decoder, dec_acts, dec_pres, dxhat)
     enc_grads, _ = _backward(params.encoder, enc_acts, enc_pres,
                              dz_recon + lam * dz_latent)
-    return recon, latent, {"encoder": enc_grads, "decoder": dec_grads}
+    return recon, latent, np.concatenate([arr.ravel() for layer in enc_grads + dec_grads
+                                          for arr in layer])
+
+
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decay rates and floor
 
 
 @dataclass
@@ -167,28 +171,21 @@ class AdamState:
     v: np.ndarray
     step: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def init(cls, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat),
-                   lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    def init(cls, params, lr=1e-3):
+        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), lr=lr)
 
 
-def adam_step(params, state, grads):
-    """One Adam update with bias correction on the gradient dict that
-    loss_and_grad returns; returns (new params, state)."""
+def adam_step(params, state, grad):
+    """One Adam update with bias correction on a gradient vector laid out
+    like params.flat; returns (new params, state)."""
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
-    scale = state.lr * np.sqrt(1.0 - b2 ** t) / (1.0 - b1 ** t)
-    g = np.concatenate([arr.ravel() for stack in ("encoder", "decoder")
-                        for layer in grads[stack] for arr in layer])
-    state.m = b1 * state.m + (1 - b1) * g
-    state.v = b2 * state.v + (1 - b2) * g * g
-    flat = params.flat - scale * state.m / (np.sqrt(state.v) + state.eps)
+    scale = state.lr * np.sqrt(1.0 - _BETA2 ** t) / (1.0 - _BETA1 ** t)
+    state.m = _BETA1 * state.m + (1 - _BETA1) * grad
+    state.v = _BETA2 * state.v + (1 - _BETA2) * grad * grad
+    flat = params.flat - scale * state.m / (np.sqrt(state.v) + _EPS)
     return AutoEncoderParams(flat, params.latent_dim, list(params.layer_sizes)), state
 
 
@@ -214,10 +211,17 @@ def save_checkpoint(params, path_prefix, seed=0, step=0):
 def load_checkpoint(path_prefix):
     with open(f"{path_prefix}.json") as fh:
         manifest = json.load(fh)
+    where = f"checkpoint manifest {path_prefix}.json"
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{where} is not a JSON object")
     for key in ("layer_sizes", "latent_dim"):
         if key not in manifest:
-            raise ValueError(f"checkpoint manifest {path_prefix}.json has no {key!r}")
+            raise ValueError(f"{where} has no {key!r}")
     layer_sizes, latent_dim = manifest["layer_sizes"], manifest["latent_dim"]
+    if not (isinstance(layer_sizes, list) and all(type(k) is int and k > 0 for k in layer_sizes)):
+        raise ValueError(f"{where}: 'layer_sizes' must list positive ints, got {layer_sizes!r}")
+    if type(latent_dim) is not int:
+        raise ValueError(f"{where}: 'latent_dim' must be an int, got {latent_dim!r}")
     blob = np.fromfile(f"{path_prefix}.bin", dtype="<f8")
     size = _layer_shapes(layer_sizes, latent_dim)[1]
     if blob.size != size:

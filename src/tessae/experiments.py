@@ -13,6 +13,9 @@ from .discrepancy import directions, sw2, sw2_projected, wasserstein_exact
 from .seeding import derive_rng, derive_seed
 from .tessellation import lloyd_cvt, sample_region, sample_unit_ball
 
+_DIR_CHUNK = 256  # directions per sw2_projected call in _sw2_shared_dirs
+_POP_SIZE = 512  # surrogate population of variance_check
+
 
 @dataclass
 class RateStudyResult:
@@ -23,18 +26,22 @@ class RateStudyResult:
     intercept: float
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "mean", "se"])
-            for n, mean, se in zip(self.n_grid, self.means, self.ses):
-                writer.writerow([n, mean, se])
-            writer.writerow(["slope", self.slope, self.intercept])
+        _write_csv(path, ["n", "mean", "se"],
+                   [*zip(self.n_grid, self.means, self.ses),
+                    ["slope", self.slope, self.intercept]])
 
 
-def _sw2_shared_dirs(a, b, dirs, chunk=256):
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _sw2_shared_dirs(a, b, dirs):
     total = 0.0
-    for lo in range(0, len(dirs), chunk):
-        d = dirs[lo:lo + chunk]
+    for lo in range(0, len(dirs), _DIR_CHUNK):
+        d = dirs[lo:lo + _DIR_CHUNK]
         total += sw2_projected(a, b, d) * len(d)
     return total / len(dirs)
 
@@ -132,10 +139,7 @@ def eq19_check(n_points, m, dim, trials, seed=0, out_csv=None):
     margins = np.array(margins)
     violations = int((margins < -1e-9).sum())
     if out_csv:
-        with open(out_csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["trial", "margin"])
-            writer.writerows(enumerate(margins.tolist()))
+        _write_csv(out_csv, ["trial", "margin"], enumerate(margins.tolist()))
     return {"passed": violations == 0, "violations": violations,
             "margins": margins}
 
@@ -171,16 +175,12 @@ def theorem6_check(n_grid, dims, trials, seed=0, out_csv=None):
                 violations += not ok
                 rows.append([n, dim, t, w, bound, int(ok)])
     if out_csv:
-        with open(out_csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "dim", "trial", "w2", "bound", "ok"])
-            writer.writerows(rows)
+        _write_csv(out_csv, ["n", "dim", "trial", "w2", "bound", "ok"], rows)
     return {"passed": violations == 0, "violations": violations,
             "instances": len(rows)}
 
 
-def variance_check(dim, n, trials, step_scale=0.1, seed=0, pop_size=512,
-                   out_csv=None):
+def variance_check(dim, n, trials, step_scale=0.1, seed=0, out_csv=None):
     """Shared vs independent batches for estimating a gradient variation.
 
     Surrogate family: quadratic per-point losses f_j(t) = (x_j.t)^2/2
@@ -192,13 +192,13 @@ def variance_check(dim, n, trials, step_scale=0.1, seed=0, pop_size=512,
     if trials < 100:
         raise ValueError("trials must be >= 100")
     rng = derive_rng(seed, 30)
-    pop = rng.standard_normal((pop_size, dim))
+    pop = rng.standard_normal((_POP_SIZE, dim))
 
     def grad(theta, idx):
         x = pop[idx]
         return ((x @ theta)[:, None] * x).mean(axis=0) - x.mean(axis=0)
 
-    full = np.arange(pop_size)
+    full = np.arange(_POP_SIZE)
     shared_err = np.empty(trials)
     indep_err = np.empty(trials)
     for t in range(trials):
@@ -208,18 +208,16 @@ def variance_check(dim, n, trials, step_scale=0.1, seed=0, pop_size=512,
         direction /= np.linalg.norm(direction)
         theta_now = theta_prev + step_scale * direction
         truth = grad(theta_now, full) - grad(theta_prev, full)
-        s_shared = trng.choice(pop_size, size=n, replace=False)
-        s_a = trng.choice(pop_size, size=n, replace=False)
-        s_b = trng.choice(pop_size, size=n, replace=False)
+        s_shared = trng.choice(_POP_SIZE, size=n, replace=False)
+        s_a = trng.choice(_POP_SIZE, size=n, replace=False)
+        s_b = trng.choice(_POP_SIZE, size=n, replace=False)
         shared_err[t] = np.linalg.norm(
             (grad(theta_now, s_shared) - grad(theta_prev, s_shared)) - truth)
         indep_err[t] = np.linalg.norm(
             (grad(theta_now, s_a) - grad(theta_prev, s_b)) - truth)
     if out_csv:
-        with open(out_csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["trial", "shared", "independent"])
-            writer.writerows(zip(range(trials), shared_err, indep_err))
+        _write_csv(out_csv, ["trial", "shared", "independent"],
+                   zip(range(trials), shared_err, indep_err))
     return {"mean_shared": float(shared_err.mean()),
             "mean_independent": float(indep_err.mean()),
             "shared": shared_err, "independent": indep_err}
@@ -260,12 +258,9 @@ def gap_study(params, tess, dataset, n, trials=4, num_projections=256,
         g_vals.append(sw2(z, prior, num_projections, est_seed).value)
         g_base.append(sw2(prior, prior_b, num_projections, est_seed).value)
     if out_csv:
-        with open(out_csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["region", "sw2", "baseline"])
-            for row in regions:
-                writer.writerow([row["region"], row["sw2"], row["baseline"]])
-            writer.writerow(["global", float(np.mean(g_vals)), float(np.mean(g_base))])
+        _write_csv(out_csv, ["region", "sw2", "baseline"],
+                   [*([r["region"], r["sw2"], r["baseline"]] for r in regions),
+                    ["global", float(np.mean(g_vals)), float(np.mean(g_base))]])
     mean_gap = float(np.mean([r["sw2"] - r["baseline"] for r in regions]))
     return {"regions": regions, "global": float(np.mean(g_vals)),
             "global_baseline": float(np.mean(g_base)), "mean_gap": mean_gap}

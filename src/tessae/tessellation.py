@@ -64,9 +64,13 @@ class Tessellation:
     @classmethod
     def from_json(cls, text):
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError("tessellation JSON is not an object")
         for key in ("dim", "generators", "kind"):
             if key not in obj:
                 raise ValueError(f"tessellation JSON has no {key!r}")
+        if type(obj["dim"]) is not int:
+            raise ValueError(f"tessellation JSON 'dim' must be an int, got {obj['dim']!r}")
         return cls(dim=obj["dim"], generators=np.array(obj["generators"]),
                    kind=obj["kind"], shell_radius=obj.get("shell_radius"))
 

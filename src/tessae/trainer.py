@@ -107,13 +107,6 @@ def _check_finite(recon, latent, epoch, chunk, region):
             f"recon={recon} latent={latent}")
 
 
-def _g_add(g_a, g_b, scale):
-    """g_a + scale * g_b over the nested gradient structure."""
-    return {stack: [(wa + scale * wb, ba + scale * bb)
-                    for (wa, ba), (wb, bb) in zip(g_a[stack], g_b[stack])]
-            for stack in ("encoder", "decoder")}
-
-
 def _loss(config, params, batch, prior, seed):
     return loss_and_grad(params, batch, prior, config.lam, config.estimator,
                          config.estimator_config, seed=seed)
@@ -161,26 +154,24 @@ def _train(config, dataset, tess, params, batches, alpha):
     for epoch in range(config.epochs):
         for c in range(n_chunks):
             x_chunk = dataset.points[c * config.chunk_size:(c + 1) * config.chunk_size]
-            cached = None  # (batch_x, prior, est_seed, grads at previous params)
+            cached = None  # (batch_x, prior, est_seed, gradient at previous params)
             for step, (label, batch, prior, lcm_ms) in enumerate(
                     batches(config, tess, params, x_chunk, epoch, c)):
                 t1 = time.perf_counter()
-                recon, latent, grads = _loss(config, params, batch, prior,
-                                             derive_seed(config.seed, epoch, c, step, _EST))
+                key = (config.seed, epoch, c, step)
+                recon, latent, grads = _loss(config, params, batch, prior, derive_seed(*key, _EST))
                 _check_finite(recon, latent, epoch, c, label)
                 if alpha != 0.0:
                     if cached is not None:
                         s_batch, s_prior, s_seed, g_prev = cached
                         _, _, g_now = _loss(config, params, s_batch, s_prior, s_seed)
-                        grads = _g_add(_g_add(grads, g_now, alpha), g_prev, -alpha)
+                        grads = grads + alpha * g_now + -alpha * g_prev
                     # cache the fresh support gradient at the pre-update params
-                    idx_rng = derive_rng(config.seed, epoch, c, step, _SUPPORT_IDX)
-                    s_idx = idx_rng.choice(len(x_chunk), size=n, replace=False)
+                    s_idx = derive_rng(*key, _SUPPORT_IDX).choice(len(x_chunk), n, replace=False)
                     s_batch = x_chunk[np.sort(s_idx)]
-                    s_prior = sample_unit_ball(
-                        config.latent_dim, n,
-                        derive_rng(config.seed, epoch, c, step, _SUPPORT_PRIOR))
-                    s_seed = derive_seed(config.seed, epoch, c, step, _SUPPORT_EST)
+                    s_prior = sample_unit_ball(config.latent_dim, n,
+                                               derive_rng(*key, _SUPPORT_PRIOR))
+                    s_seed = derive_seed(*key, _SUPPORT_EST)
                     _, _, g_support = _loss(config, params, s_batch, s_prior, s_seed)
                     cached = (s_batch, s_prior, s_seed, g_support)
                 params, adam = adam_step(params, adam, grads)

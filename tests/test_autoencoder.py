@@ -86,22 +86,15 @@ def test_recon_only_gradient_matches_fd():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((8, 2))
     prior = rng.standard_normal((8, 2)) * 0.3
-    _, _, grads = loss_and_grad(p, x, prior, 0.0)
+    _, _, grad = loss_and_grad(p, x, prior, 0.0)
     eps = 1e-6
-    for stack in ("encoder", "decoder"):
-        for li in range(len(getattr(p, stack))):
-            for slot in (0, 1):
-                arr = getattr(p, stack)[li][slot]
-                it = np.nditer(arr, flags=["multi_index"])
-                for _ in it:
-                    idx = it.multi_index
-                    pp, pm = p.copy(), p.copy()
-                    getattr(pp, stack)[li][slot][idx] += eps
-                    getattr(pm, stack)[li][slot][idx] -= eps
-                    fd = (total_loss(pp, x, prior, 0.0, 9)
-                          - total_loss(pm, x, prior, 0.0, 9)) / (2 * eps)
-                    g = grads[stack][li][slot][idx]
-                    assert abs(g - fd) <= 1e-4 * max(1.0, abs(fd))
+    for i in range(p.flat.size):
+        pp, pm = p.copy(), p.copy()
+        pp.flat[i] += eps
+        pm.flat[i] -= eps
+        fd = (total_loss(pp, x, prior, 0.0, 9)
+              - total_loss(pm, x, prior, 0.0, 9)) / (2 * eps)
+        assert abs(grad[i] - fd) <= 1e-4 * max(1.0, abs(fd))
 
 
 def test_full_loss_gradient_matches_fd():
@@ -110,23 +103,16 @@ def test_full_loss_gradient_matches_fd():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((8, 2))
     prior = rng.standard_normal((8, 2)) * 0.3
-    _, _, grads = loss_and_grad(p, x, prior, 1.0, "SW", {"num_projections": 32},
-                                seed=np.random.SeedSequence(9))
+    _, _, grad = loss_and_grad(p, x, prior, 1.0, "SW", {"num_projections": 32},
+                               seed=np.random.SeedSequence(9))
     eps = 1e-6
-    for stack in ("encoder", "decoder"):
-        for li in range(len(getattr(p, stack))):
-            for slot in (0, 1):
-                arr = getattr(p, stack)[li][slot]
-                it = np.nditer(arr, flags=["multi_index"])
-                for _ in it:
-                    idx = it.multi_index
-                    pp, pm = p.copy(), p.copy()
-                    getattr(pp, stack)[li][slot][idx] += eps
-                    getattr(pm, stack)[li][slot][idx] -= eps
-                    fd = (total_loss(pp, x, prior, 1.0, 9)
-                          - total_loss(pm, x, prior, 1.0, 9)) / (2 * eps)
-                    g = grads[stack][li][slot][idx]
-                    assert abs(g - fd) <= 1e-3 * max(1.0, abs(fd))
+    for i in range(p.flat.size):
+        pp, pm = p.copy(), p.copy()
+        pp.flat[i] += eps
+        pm.flat[i] -= eps
+        fd = (total_loss(pp, x, prior, 1.0, 9)
+              - total_loss(pm, x, prior, 1.0, 9)) / (2 * eps)
+        assert abs(grad[i] - fd) <= 1e-3 * max(1.0, abs(fd))
 
 
 def test_perfect_autoencoder_zero_losses():
@@ -143,20 +129,40 @@ def test_loss_estimator_dispatch():
     x = rng.standard_normal((12, 2))
     prior = rng.standard_normal((12, 2)) * 0.3
     for estimator in ("SW", "GW", "MAXSW", "GSW"):
-        recon, latent, grads = loss_and_grad(p, x, prior, 0.5, estimator,
-                                             {"num_projections": 8}, seed=1)
+        recon, latent, grad = loss_and_grad(p, x, prior, 0.5, estimator,
+                                            {"num_projections": 8}, seed=1)
         assert recon >= 0 and latent >= 0
-        assert all(np.all(np.isfinite(w)) for w, _ in grads["encoder"])
+        assert np.all(np.isfinite(grad))
     with pytest.raises(ValueError):
         loss_and_grad(p, x, prior, 0.5, "NOPE")
+
+
+# sha256 of the little-endian gradient on the dispatch test's net and batch,
+# generated from the nested per-layer gradient flattened in checkpoint order
+GRAD_SHA256 = {
+    "SW": "7d34881a7cda3930a3471c06df1edb703dfd6073a687ab094e128910a0e8541a",
+    "GW": "e032490c0509a20e8bde068305c4678b7a67eefcd41b7c46f6999d2fdb92abdc",
+    "MAXSW": "d8b4c8b310980e83f7aa29cba65e1f03d8168742c4f4482776670d078de04a3e",
+    "GSW": "f1d9d0391dbdc23421e4ec3249d94a60c82dee7487aec72b4fe604bc4cd6253f",
+}
+
+
+@pytest.mark.parametrize("estimator", sorted(GRAD_SHA256))
+def test_gradient_vector_pinned(estimator):
+    p = init_params([2, 4], 2, seed=8)
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((12, 2))
+    prior = rng.standard_normal((12, 2)) * 0.3
+    _, _, grad = loss_and_grad(p, x, prior, 0.5, estimator,
+                               {"num_projections": 8}, seed=1)
+    assert grad.shape == p.flat.shape and grad.dtype == np.float64
+    assert hashlib.sha256(grad.astype("<f8").tobytes()).hexdigest() == GRAD_SHA256[estimator]
 
 
 def test_adam_zero_gradient():
     p = init_params([2, 3], 2, seed=9)
     state = AdamState.init(p)
-    zeros = {s: [(np.zeros_like(w), np.zeros_like(b)) for w, b in getattr(p, s)]
-             for s in ("encoder", "decoder")}
-    new_p, state = adam_step(p, state, zeros)
+    new_p, state = adam_step(p, state, np.zeros_like(p.flat))
     assert params_equal(new_p, p)
     assert state.step == 1
 
@@ -164,8 +170,7 @@ def test_adam_zero_gradient():
 def test_adam_constant_gradient_step_size():
     p = init_params([1], 1, seed=10)
     state = AdamState.init(p, lr=1e-3)
-    g = {"encoder": [(np.array([[2.5]]), np.array([0.7]))],
-         "decoder": [(np.array([[2.5]]), np.array([0.7]))]}
+    g = np.array([2.5, 0.7, 2.5, 0.7])
     prev = p.encoder[0][0][0, 0]
     for _ in range(500):
         p, state = adam_step(p, state, g)

@@ -193,3 +193,28 @@ def test_gap_tessellation_without_generators_is_one_line_exit_2(tmp_path, capsys
     assert run_gap(tmp_path) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "'generators'" in err
+
+
+@pytest.mark.parametrize("which,key,value,needle", [
+    ("ckpt", "layer_sizes", ["2", "8"], "'layer_sizes'"),
+    ("ckpt", "layer_sizes", [2, True], "'layer_sizes'"),
+    ("ckpt", "layer_sizes", 2, "'layer_sizes'"),
+    ("ckpt", "latent_dim", "2", "'latent_dim'"),
+    ("ckpt", "latent_dim", True, "'latent_dim'"),
+    ("ckpt", None, 7, "not a JSON object"),
+    ("tess", "dim", "2", "'dim'"),
+    ("tess", "dim", True, "'dim'"),
+    ("tess", None, 7, "not an object"),
+], ids=["layer_sizes-strings", "layer_sizes-bool", "layer_sizes-int", "latent_dim-string",
+        "latent_dim-bool", "manifest-int", "dim-string", "dim-bool", "tessellation-int"])
+def test_gap_wrong_typed_json_is_one_line_exit_2(tmp_path, capsys, which, key, value, needle):
+    path = gap_inputs(tmp_path)[which == "tess"]
+    obj = json.loads(path.read_text())
+    if key is None:
+        obj = value
+    else:
+        obj[key] = value
+    path.write_text(json.dumps(obj))
+    assert run_gap(tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -144,3 +146,27 @@ def test_rate_study_writes_next_to_out_csv(tmp_path):
                   out_csv=str(tmp_path / "runs.csv" / "rates.csv"))
     assert sorted(p.name for p in (tmp_path / "runs.csv").iterdir()) == \
         ["rates_pnpn.csv", "rates_qn.csv"]
+
+
+# sha256 of each harness's CSV bytes on small seeded runs
+CSV_SHA256 = {
+    "eq19.csv": "2821eb0ef6d786a7d5d5f87dc1b128f9e5d3e3fd182bd0e0bf215f1e60df15e7",
+    "gap.csv": "39dc7ad85117e3c63d1faa4180b0957de5258afc4dfe0257a85407ce2f7c897b",
+    "rates_pnpn.csv": "44d04a0d3fbef813559ae40ba6389bafb7728c9e884598616d39831886fff4cd",
+    "rates_qn.csv": "e6615289293e7eb21cacf4e0c813ba2c10da71fedfedf7d6b73387440c57d57a",
+    "theorem6.csv": "7f755df3826abeaa3b5b25e69b4c1fb672695dc030544a0fba53e8f9104915ed",
+    "variance.csv": "c016c7cea1a7f6c47ebd81b7d653de77c74002bd12c5da2e59550bf616ec1195",
+}
+
+
+def test_csv_bytes_pinned(tmp_path):
+    eq19_check(16, 2, 2, trials=3, seed=0, out_csv=str(tmp_path / "eq19.csv"))
+    theorem6_check([5, 6], [2, 3], trials=3, seed=0, out_csv=str(tmp_path / "theorem6.csv"))
+    variance_check(4, 16, trials=100, seed=0, out_csv=str(tmp_path / "variance.csv"))
+    gap_study(init_params([2, 8], 2, seed=0), lloyd_cvt(2, 2, seed=0)[0],
+              gen_gaussian_ring(8, 2.0, 0.2, 100, seed=0), n=20, trials=2,
+              num_projections=32, seed=0, out_csv=str(tmp_path / "gap.csv"))
+    rate_study_sw(2, [32, 64], trials=20, num_projections=8, ref_n=256,
+                  out_csv=str(tmp_path / "rates.csv"))
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.iterdir()} == CSV_SHA256
