@@ -39,35 +39,19 @@ def _config_parser(prog="tessae"):
 
 
 def _read_config_file(path):
-    values = {}
+    """The flags of a config file: each `key = value` line is `--key=value`,
+    with `_` read as `-`, so argparse checks it exactly as that flag."""
+    flags = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
+            key, sep, value = (part.strip() for part in line.partition("="))
+            if not (key and sep):
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = value
-    return values
-
-
-def _apply_config_defaults(subparser, values):
-    dests = {a.dest: a for a in subparser._actions}
-    defaults = {}
-    for key, raw in values.items():
-        if key not in dests:
-            raise ValueError(f"unknown config key: {key}")
-        action = dests[key]
-        if action.type is not None:
-            defaults[key] = action.type(raw)
-        elif isinstance(action.default, bool):
-            defaults[key] = raw.lower() in ("1", "true", "yes")
-        else:
-            defaults[key] = raw
-        action.required = False  # the config file satisfies required flags
-        # config values become defaults, so explicit flags still win
-    subparser.set_defaults(**defaults)
+            flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
 def _prepare_out(args):
@@ -213,7 +197,6 @@ def cmd_assign_bench(args):
 def build_parser():
     parser = argparse.ArgumentParser(prog="tessae")
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = {}
     common = _config_parser()
 
     def add(name, func, **kwargs):
@@ -221,7 +204,6 @@ def build_parser():
         sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--seed", type=int, default=0)
         sp.set_defaults(func=func)
-        subparsers[name] = sp
         return sp
 
     sp = add("cvt", cmd_cvt, help="build and save a CVT of the unit ball")
@@ -291,19 +273,19 @@ def build_parser():
     sp.add_argument("--m", type=int, default=400)
     sp.add_argument("--dim", type=int, default=64)
 
-    return parser, subparsers
+    return parser, sub.choices
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subparsers = build_parser()
+    parser, commands = build_parser()
     try:
-        # config file values become subparser defaults so flags override them
-        if argv and argv[0] in subparsers:
+        # config flags go ahead of the command line's, so the last (a flag) wins
+        if argv and argv[0] in commands:
             pre = _config_parser(f"{parser.prog} {argv[0]}")
             cfg_path = pre.parse_known_args(argv[1:])[0].config
             if cfg_path is not None:
-                _apply_config_defaults(subparsers[argv[0]], _read_config_file(cfg_path))
+                argv[1:1] = _read_config_file(cfg_path)
         args = parser.parse_args(argv)
     except SystemExit as err:
         return err.code if err.code is not None else 0

@@ -116,6 +116,8 @@ def eq19_check(n_points, m, dim, trials, seed=0, out_csv=None):
     """
     if n_points > 256 or n_points % m != 0:
         raise ValueError("need n_points <= 256 and divisible by m")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     n = n_points // m
     if m == 1:
         generators = np.zeros((1, dim))
@@ -151,6 +153,8 @@ def theorem6_check(n_grid, dims, trials, seed=0, out_csv=None):
         dims = [dims]
     if any(n < 5 for n in n_grid):
         raise ValueError("all n must be >= 5")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rows = []
     violations = 0
     for n in n_grid:
@@ -191,6 +195,8 @@ def variance_check(dim, n, trials, step_scale=0.1, seed=0, out_csv=None):
     """
     if trials < 100:
         raise ValueError("trials must be >= 100")
+    if not 1 <= n <= _POP_SIZE:
+        raise ValueError(f"n must be in [1, {_POP_SIZE}]")
     rng = derive_rng(seed, 30)
     pop = rng.standard_normal((_POP_SIZE, dim))
 
@@ -230,6 +236,10 @@ def gap_study(params, tess, dataset, n, trials=4, num_projections=256,
     scales.  Returns {"regions": [...], "global", "global_baseline",
     "mean_gap"}.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     m = tess.region_count
     use = m * n
     if len(dataset) < use:

@@ -129,6 +129,8 @@ def lloyd_cvt(dim, m, mc_samples_per_iter=None, max_iters=100, energy_tol=1e-4, 
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     if mc_samples_per_iter is None:
         mc_samples_per_iter = max(200 * m * dim, 100 * m)
     if mc_samples_per_iter < 100 * m:

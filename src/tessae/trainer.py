@@ -36,8 +36,11 @@ class TrainConfig:
     learning_rate: float = 1e-3
 
     def __post_init__(self):
-        if self.m < 1 or self.alpha < 0:
-            raise ValueError("m >= 1 and alpha >= 0 required")
+        for name in ("m", "chunk_size", "epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.alpha < 0:
+            raise ValueError("alpha must be >= 0")
         if self.chunk_size % self.m != 0:
             raise ValueError("chunk_size must be divisible by m")
 

@@ -22,8 +22,9 @@ def params_equal(a, b):
 
 def identity_params(dim):
     p = init_params([dim], dim, seed=0)
-    p.encoder[0] = (np.eye(dim), np.zeros(dim))
-    p.decoder[0] = (np.eye(dim), np.zeros(dim))
+    for w, b in (p.encoder[0], p.decoder[0]):
+        w[...] = np.eye(dim)
+        b[...] = 0.0
     return p
 
 
@@ -63,6 +64,7 @@ def test_identity_layer_is_identity():
     x = np.random.default_rng(2).standard_normal((6, 3))
     assert np.allclose(encode(p, x), x)
     assert np.allclose(decode(p, encode(p, x)), x)
+    assert np.array_equal(encode(p.copy(), x), x)
 
 
 def test_forward_shapes_and_order():

@@ -114,6 +114,35 @@ def test_config_malformed_line(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+SMALL_TRAIN = ["--count", "80", "--n-chunk", "40", "--m", "4", "--hidden", "8",
+               "--projections", "8"]
+
+
+@pytest.mark.parametrize("line", ["mode = bogus", "tessellation = XYZ",
+                                  "estimator = FOO", "epochs = x", "= 3"])
+def test_bad_config_line_is_usage_error(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(cfg), *SMALL_TRAIN, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["lambda = 4\nn-chunk = 40\n", "lam = 4\nn_chunk = 40\n"],
+                         ids=["flag-names", "dest-names"])
+def test_config_keys_are_flag_names(tmp_path, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--count", "80", "--m", "4",
+                 "--epochs", "1", "--hidden", "8", "--projections", "8",
+                 "--out", str(out)]) == 0
+    snapshot = json.loads((out / "resolved_config.json").read_text())
+    assert (snapshot["lam"], snapshot["n_chunk"]) == (4.0, 40)
+
+
 def test_assign_bench_small(tmp_path):
     out = tmp_path / "bench"
     assert main(["assign-bench", "--n-points", "60", "--m", "6", "--dim", "2",
@@ -167,11 +196,11 @@ def gap_inputs(tmp_path):
     return tmp_path / "ckpt.json", tmp_path / "tess.json"
 
 
-def run_gap(tmp_path):
+def run_gap(tmp_path, *flags):
     return main(["gap", "--checkpoint", str(tmp_path / "ckpt"),
                  "--tessellation", str(tmp_path / "tess.json"), "--count", "200",
                  "--n", "10", "--trials", "2", "--projections", "16",
-                 "--out", str(tmp_path / "gap")])
+                 "--out", str(tmp_path / "gap"), *flags])
 
 
 @pytest.mark.parametrize("key", ["latent_dim", "layer_sizes"])
@@ -218,3 +247,27 @@ def test_gap_wrong_typed_json_is_one_line_exit_2(tmp_path, capsys, which, key, v
     assert run_gap(tmp_path) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["train", *SMALL_TRAIN, "--epochs", "0"], "epochs must be >= 1"),
+    (["train", *SMALL_TRAIN, "--n-chunk", "0"], "chunk_size must be >= 1"),
+    (["train", *SMALL_TRAIN, "--epochs", "1", "--projections", "0"],
+     "num_projections must be >= 1"),
+    (["cvt", "--dim", "2", "--m", "4", "--max-iters", "0"], "max_iters must be >= 1"),
+    (["gap", "--trials", "0"], "trials must be >= 1"),
+    (["gap", "--n", "0"], "n must be >= 1"),
+    (["gap", "--projections", "0"], "num_projections must be >= 1"),
+    (["varcheck", "--n", "0"], "n must be in [1, 512]"),
+    (["varcheck", "--n", "513"], "n must be in [1, 512]"),
+    (["ineq", "--trials", "0"], "trials must be >= 1"),
+], ids=["train-epochs", "train-n-chunk", "train-projections", "cvt-max-iters",
+        "gap-trials", "gap-n", "gap-projections", "varcheck-n", "varcheck-n-above-population", "ineq-trials"])
+def test_bad_count_is_one_line_exit_2(tmp_path, capsys, argv, message):
+    if argv[0] == "gap":
+        gap_inputs(tmp_path)
+        code = run_gap(tmp_path, *argv[1:])
+    else:
+        code = main([*argv, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
