@@ -23,8 +23,9 @@ class ForwardNumericalError(RuntimeError):
 def _layer_shapes(layer_sizes, latent_dim):
     """(fan_in, fan_out) of every layer in the flat order, encoder then
     mirrored decoder, and the number of values they hold."""
-    if not layer_sizes or latent_dim < 1:
-        raise ValueError("layer_sizes nonempty and latent_dim >= 1 required")
+    if not layer_sizes or min(layer_sizes) < 1 or latent_dim < 1:
+        raise ValueError(f"layer_sizes nonempty with widths >= 1 and latent_dim >= 1 required, "
+                         f"got {list(layer_sizes)} and {latent_dim}")
     dims = list(layer_sizes) + [latent_dim]
     dims += dims[-2::-1]
     shapes = list(zip(dims[:-1], dims[1:]))

@@ -61,6 +61,11 @@ def _prepare_out(args):
         json.dump(snapshot, fh, indent=2, default=str, sort_keys=True)
 
 
+def _write_tessellation(args, tess):
+    with open(os.path.join(args.out, "tessellation.json"), "w") as fh:
+        fh.write(tess.to_json())
+
+
 def _load_dataset(args):
     if args.dataset == "ring":
         return datamod.gen_gaussian_ring(args.modes, args.radius, args.sigma,
@@ -91,16 +96,14 @@ def _train_config(args, data_dim):
 def cmd_cvt(args):
     tess, stats = lloyd_cvt(args.dim, args.m, args.mc_samples, args.max_iters,
                             args.energy_tol, args.seed)
-    with open(os.path.join(args.out, "tessellation.json"), "w") as fh:
-        fh.write(tess.to_json())
+    _write_tessellation(args, tess)
     print(f"cvt: m={args.m} dim={args.dim} iters={len(stats['energies'])} "
           f"final_energy={stats['energies'][-1]:.6f} reseeds={stats['reseeds']}")
 
 
 def cmd_e8(args):
     tess = e8_tessellation(args.samples, args.seed)
-    with open(os.path.join(args.out, "tessellation.json"), "w") as fh:
-        fh.write(tess.to_json())
+    _write_tessellation(args, tess)
     print(f"e8: shell_radius={tess.shell_radius:.6f} regions={tess.region_count}")
 
 
@@ -114,8 +117,7 @@ def cmd_train(args):
     log.to_csv(os.path.join(args.out, "metrics.csv"))
     ae.save_checkpoint(params, os.path.join(args.out, "checkpoint"),
                        seed=args.seed, step=len(log.records))
-    with open(os.path.join(args.out, "tessellation.json"), "w") as fh:
-        fh.write(tess.to_json())
+    _write_tessellation(args, tess)
     print(f"train[{args.mode}]: epochs={config.epochs} "
           f"final_recon={log.epoch_means('recon')[-1]:.6f} "
           f"final_latent={log.epoch_means('latent')[-1]:.6f}")
@@ -185,10 +187,8 @@ def cmd_assign_bench(args):
         opt = optimal_assign(points, generators, capacity)
         rows.append(["optimal", args.n_points, args.m, args.dim,
                      time.perf_counter() - t0, opt.cost])
-    with open(os.path.join(args.out, "assign_bench.csv"), "w") as fh:
-        fh.write("method,n_points,m,dim,seconds,cost\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+    exp.write_csv(os.path.join(args.out, "assign_bench.csv"),
+                  ["method", "n_points", "m", "dim", "seconds", "cost"], rows)
     for row in rows:
         print(f"{row[0]}: N={row[1]} m={row[2]} d={row[3]} "
               f"time={row[4]:.3f}s cost={row[5]:.4f}")
@@ -230,7 +230,7 @@ def build_parser():
     add_data_args(sp)
     sp.add_argument("--mode", choices=["twae", "twae-reg", "baseline"], default="twae")
     sp.add_argument("--m", type=int, default=20)
-    sp.add_argument("--n-chunk", type=int, default=10000)
+    sp.add_argument("--n-chunk", type=int, default=200)
     sp.add_argument("--epochs", type=int, default=10)
     sp.add_argument("--latent-dim", type=int, default=2)
     sp.add_argument("--hidden", default="64,64", help="comma-separated hidden widths")

@@ -79,11 +79,14 @@ def directions(dim, count, rng):
     return w / norms
 
 
+def sorted_projections(a, dirs):
+    """a projected on the rows of dirs, each column sorted: shape (len(a), len(dirs))."""
+    return np.sort(a @ dirs.T, axis=0)
+
+
 def sw2_projected(a, b, dirs):
     """Mean 1-D sorted squared W2 of a and b projected on the rows of dirs."""
-    pa = np.sort(a @ dirs.T, axis=0)
-    pb = np.sort(b @ dirs.T, axis=0)
-    return float(((pa - pb) ** 2).mean())
+    return float(((sorted_projections(a, dirs) - sorted_projections(b, dirs)) ** 2).mean())
 
 
 def sw2(a, b, num_projections=1000, seed=0):

@@ -4,13 +4,14 @@ prior-matching gap study.  Each harness can write a CSV artifact."""
 
 import csv
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .autoencoder import encode
 from .batch_design import lcm_assign, optimal_assign
-from .discrepancy import directions, sw2, sw2_projected, wasserstein_exact
-from .seeding import derive_rng, derive_seed
+from .discrepancy import directions, sorted_projections, sw2_projected, wasserstein_exact
+from .seeding import derive_rng
 from .tessellation import lloyd_cvt, sample_region, sample_unit_ball
 
 _DIR_CHUNK = 256  # directions per sw2_projected call in _sw2_shared_dirs
@@ -26,12 +27,12 @@ class RateStudyResult:
     intercept: float
 
     def to_csv(self, path):
-        _write_csv(path, ["n", "mean", "se"],
-                   [*zip(self.n_grid, self.means, self.ses),
-                    ["slope", self.slope, self.intercept]])
+        write_csv(path, ["n", "mean", "se"],
+                  [*zip(self.n_grid, self.means, self.ses),
+                   ["slope", self.slope, self.intercept]])
 
 
-def _write_csv(path, header, rows):
+def write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -114,8 +115,8 @@ def eq19_check(n_points, m, dim, trials, seed=0, out_csv=None):
 
     Returns {"passed", "violations", "margins"}.
     """
-    if n_points > 256 or n_points % m != 0:
-        raise ValueError("need n_points <= 256 and divisible by m")
+    if not 1 <= n_points <= 256 or n_points % m != 0:
+        raise ValueError("n_points must be in [1, 256] and divisible by m")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = n_points // m
@@ -141,7 +142,7 @@ def eq19_check(n_points, m, dim, trials, seed=0, out_csv=None):
     margins = np.array(margins)
     violations = int((margins < -1e-9).sum())
     if out_csv:
-        _write_csv(out_csv, ["trial", "margin"], enumerate(margins.tolist()))
+        write_csv(out_csv, ["trial", "margin"], enumerate(margins.tolist()))
     return {"passed": violations == 0, "violations": violations,
             "margins": margins}
 
@@ -179,7 +180,7 @@ def theorem6_check(n_grid, dims, trials, seed=0, out_csv=None):
                 violations += not ok
                 rows.append([n, dim, t, w, bound, int(ok)])
     if out_csv:
-        _write_csv(out_csv, ["n", "dim", "trial", "w2", "bound", "ok"], rows)
+        write_csv(out_csv, ["n", "dim", "trial", "w2", "bound", "ok"], rows)
     return {"passed": violations == 0, "violations": violations,
             "instances": len(rows)}
 
@@ -222,8 +223,8 @@ def variance_check(dim, n, trials, step_scale=0.1, seed=0, out_csv=None):
         indep_err[t] = np.linalg.norm(
             (grad(theta_now, s_a) - grad(theta_prev, s_b)) - truth)
     if out_csv:
-        _write_csv(out_csv, ["trial", "shared", "independent"],
-                   zip(range(trials), shared_err, indep_err))
+        write_csv(out_csv, ["trial", "shared", "independent"],
+                  zip(range(trials), shared_err, indep_err))
     return {"mean_shared": float(shared_err.mean()),
             "mean_independent": float(indep_err.mean()),
             "shared": shared_err, "independent": indep_err}
@@ -246,31 +247,26 @@ def gap_study(params, tess, dataset, n, trials=4, num_projections=256,
         raise ValueError("dataset too small for m*n points")
     z = encode(params, dataset.points[:use])
     plan = lcm_assign(z, tess.generators, n)
-    regions = []
-    for j in range(m):
-        cluster = z[plan.assignment == j]
+    # each region, then the whole ball: points, prior sampler, stream keys
+    parts = [(z[plan.assignment == j], partial(sample_region, tess, j, n), (40, j), (41, j))
+             for j in range(m)]
+    parts.append((z, partial(sample_unit_ball, tess.dim, use), (42,), (43,)))
+    means = []  # [sw2, baseline] per part
+    for x, draw_prior, prior_key, dirs_key in parts:
         vals, base = [], []
         for t in range(trials):
-            rng = derive_rng(seed, 40, j, t)
-            prior = sample_region(tess, j, n, rng)
-            prior_b = sample_region(tess, j, n, rng)
-            est_seed = derive_seed(seed, 41, j, t)
-            vals.append(sw2(cluster, prior, num_projections, est_seed).value)
-            base.append(sw2(prior, prior_b, num_projections, est_seed).value)
-        regions.append({"region": j, "sw2": float(np.mean(vals)),
-                        "baseline": float(np.mean(base))})
-    g_vals, g_base = [], []
-    for t in range(trials):
-        rng = derive_rng(seed, 42, t)
-        prior = sample_unit_ball(tess.dim, use, rng)
-        prior_b = sample_unit_ball(tess.dim, use, rng)
-        est_seed = derive_seed(seed, 43, t)
-        g_vals.append(sw2(z, prior, num_projections, est_seed).value)
-        g_base.append(sw2(prior, prior_b, num_projections, est_seed).value)
+            rng = derive_rng(seed, *prior_key, t)
+            prior, prior_b = draw_prior(rng), draw_prior(rng)
+            # one direction set and one sort of prior serve both discrepancies
+            dirs = directions(x.shape[1], num_projections, derive_rng(seed, *dirs_key, t))
+            pp = sorted_projections(prior, dirs)
+            vals.append(float(((sorted_projections(x, dirs) - pp) ** 2).mean()))
+            base.append(float(((pp - sorted_projections(prior_b, dirs)) ** 2).mean()))
+        means.append([float(np.mean(vals)), float(np.mean(base))])
     if out_csv:
-        _write_csv(out_csv, ["region", "sw2", "baseline"],
-                   [*([r["region"], r["sw2"], r["baseline"]] for r in regions),
-                    ["global", float(np.mean(g_vals)), float(np.mean(g_base))]])
-    mean_gap = float(np.mean([r["sw2"] - r["baseline"] for r in regions]))
-    return {"regions": regions, "global": float(np.mean(g_vals)),
-            "global_baseline": float(np.mean(g_base)), "mean_gap": mean_gap}
+        write_csv(out_csv, ["region", "sw2", "baseline"],
+                  [*([j, *pair] for j, pair in enumerate(means[:-1])), ["global", *means[-1]]])
+    return {"regions": [{"region": j, "sw2": sw, "baseline": bl}
+                        for j, (sw, bl) in enumerate(means[:-1])],
+            "global": means[-1][0], "global_baseline": means[-1][1],
+            "mean_gap": float(np.mean([sw - bl for sw, bl in means[:-1]]))}

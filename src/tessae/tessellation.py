@@ -127,10 +127,9 @@ def lloyd_cvt(dim, m, mc_samples_per_iter=None, max_iters=100, energy_tol=1e-4, 
     Returns (tessellation, stats) where stats records the per-iteration
     energies and the number of empty-region re-seed events.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+    for name, count in (("dim", dim), ("m", m), ("max_iters", max_iters)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1")
     if mc_samples_per_iter is None:
         mc_samples_per_iter = max(200 * m * dim, 100 * m)
     if mc_samples_per_iter < 100 * m:

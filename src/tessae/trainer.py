@@ -36,7 +36,7 @@ class TrainConfig:
     learning_rate: float = 1e-3
 
     def __post_init__(self):
-        for name in ("m", "chunk_size", "epochs"):
+        for name in ("m", "chunk_size", "epochs", "latent_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.alpha < 0:
@@ -87,7 +87,8 @@ def build_tessellation(config):
 
 def _init(config, dataset, tess, params):
     if len(dataset) < config.chunk_size:
-        raise ValueError("dataset smaller than one chunk")
+        raise ValueError(f"dataset of {len(dataset)} points is smaller than one chunk "
+                         f"of {config.chunk_size}")
     if tess is None:
         tess = build_tessellation(config)
     if tess.region_count != config.m or tess.dim != config.latent_dim:

@@ -193,6 +193,10 @@ def test_lcm_equals_global_walk(instance):
     walk = global_walk_assign(points, generators, capacity)
     assert np.array_equal(plan.assignment, walk.assignment)
     assert plan.cost == walk.cost
+    assert np.array_equal(np.bincount(plan.assignment, minlength=len(generators)),
+                          np.full(len(generators), capacity))
+    # integer coordinates: every squared distance and their sum are exact
+    assert plan.cost == ((points - generators[plan.assignment]) ** 2).sum()
 
 
 @pytest.mark.parametrize("m", [32, 33, 96])

@@ -64,6 +64,12 @@ def test_train_and_gap_roundtrip(tmp_path):
     assert (gap_out / "gap.csv").exists()
 
 
+def test_train_defaults(tmp_path):
+    # the default --count holds whole chunks of the default --n-chunk
+    assert main(["train", "--epochs", "1", "--projections", "8",
+                 "--out", str(tmp_path / "o")]) == 0
+
+
 def test_train_all_modes(tmp_path):
     for mode in ("twae-reg", "baseline"):
         out = tmp_path / mode
@@ -147,8 +153,10 @@ def test_assign_bench_small(tmp_path):
     out = tmp_path / "bench"
     assert main(["assign-bench", "--n-points", "60", "--m", "6", "--dim", "2",
                  "--out", str(out)]) == 0
-    lines = (out / "assign_bench.csv").read_text().splitlines()
+    text = (out / "assign_bench.csv").read_bytes().decode()
+    lines = text.splitlines()
     assert lines[0] == "method,n_points,m,dim,seconds,cost"
+    assert text.count("\r\n") == len(lines) == 3
     costs = {row.split(",")[0]: float(row.split(",")[-1]) for row in lines[1:]}
     assert costs["optimal"] <= costs["lcm"] + 1e-9
 
@@ -261,8 +269,19 @@ def test_gap_wrong_typed_json_is_one_line_exit_2(tmp_path, capsys, which, key, v
     (["varcheck", "--n", "0"], "n must be in [1, 512]"),
     (["varcheck", "--n", "513"], "n must be in [1, 512]"),
     (["ineq", "--trials", "0"], "trials must be >= 1"),
+    (["train", "--count", "100", "--n-chunk", "200"],
+     "dataset of 100 points is smaller than one chunk of 200"),
+    (["train", *SMALL_TRAIN, "--hidden", "0"],
+     "layer_sizes nonempty with widths >= 1 and latent_dim >= 1 required, got [2, 0] and 2"),
+    (["train", *SMALL_TRAIN, "--hidden", "64,-3"],
+     "layer_sizes nonempty with widths >= 1 and latent_dim >= 1 required, got [2, 64, -3] and 2"),
+    (["train", *SMALL_TRAIN, "--latent-dim", "0"], "latent_dim must be >= 1"),
+    (["cvt", "--dim", "0", "--m", "4"], "dim must be >= 1"),
+    (["ineq", "--n-points", "0"], "n_points must be in [1, 256] and divisible by m"),
 ], ids=["train-epochs", "train-n-chunk", "train-projections", "cvt-max-iters",
-        "gap-trials", "gap-n", "gap-projections", "varcheck-n", "varcheck-n-above-population", "ineq-trials"])
+        "gap-trials", "gap-n", "gap-projections", "varcheck-n", "varcheck-n-above-population",
+        "ineq-trials", "train-dataset-below-chunk", "train-hidden-0", "train-hidden-negative",
+        "train-latent-dim", "cvt-dim", "ineq-n-points"])
 def test_bad_count_is_one_line_exit_2(tmp_path, capsys, argv, message):
     if argv[0] == "gap":
         gap_inputs(tmp_path)

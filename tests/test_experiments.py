@@ -170,3 +170,15 @@ def test_csv_bytes_pinned(tmp_path):
                   out_csv=str(tmp_path / "rates.csv"))
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in tmp_path.iterdir()} == CSV_SHA256
+
+
+def test_gap_study_pinned():
+    # 8 trials: from 8 terms on, np.mean's unrolled pairwise order gives
+    # other bits than a sequential sum; 2 trials (the CSV pin) cannot tell
+    res = gap_study(init_params([2, 8], 2, seed=0), lloyd_cvt(2, 4, seed=0)[0],
+                    gen_gaussian_ring(8, 2.0, 0.2, 100, seed=0), n=20, trials=8,
+                    num_projections=64, seed=0)
+    values = [v for r in res["regions"] for v in (r["sw2"], r["baseline"])]
+    values += [res["global"], res["global_baseline"], res["mean_gap"]]
+    assert hashlib.sha256(np.array(values, dtype="<f8").tobytes()).hexdigest() == \
+        "605a0f0bc4e1005c86efd29a23ca7f22ed861eaa554923dd186e902234fa26c9"
