@@ -107,26 +107,20 @@ def decode(params, z):
     return _forward(params.decoder, z, "decoder")[0][-1]
 
 
-def _latent_value_and_grad(z, prior, estimator, cfg, seed):
-    cfg = cfg or {}
+def _latent_value_and_grad(z, prior, estimator, num_projections, seed):
     if estimator == "SW":
         # two calls, not one fused call: the traced benchmark times the
         # training-time SW work through discrepancy.sw2 and sw2_gradient
-        L = cfg.get("num_projections", 1000)
-        est, grad = dsc.sw2(z, prior, L, seed), dsc.sw2_gradient(z, prior, L, seed)
-    elif estimator == "GW":
-        est, grad = dsc.gw2(z, prior), dsc.gw2_gradient(z, prior)
-    elif estimator == "MAXSW":
-        est, direction = dsc.max_sw2(z, prior,
-                                     cfg.get("ascent_iters", 10),
-                                     cfg.get("step_size", 0.1), seed)
-        grad = dsc.maxsw2_gradient(z, prior, direction)
-    elif estimator == "GSW":
-        est, grad = dsc.gsw2_value_and_grad(z, prior, cfg.get("num_projections", 1000),
-                                            cfg.get("pivot_radius"), seed)
-    else:
-        raise ValueError(f"unknown estimator {estimator!r}")
-    return est.value, grad
+        return (dsc.sw2(z, prior, num_projections, seed),
+                dsc.sw2_gradient(z, prior, num_projections, seed))
+    if estimator == "GW":
+        return dsc.gw2(z, prior), dsc.gw2_gradient(z, prior)
+    if estimator == "MAXSW":
+        value, direction = dsc.max_sw2(z, prior, seed=seed)
+        return value, dsc.maxsw2_gradient(z, prior, direction)
+    if estimator == "GSW":
+        return dsc.gsw2_value_and_grad(z, prior, num_projections, seed=seed)
+    raise ValueError(f"unknown estimator {estimator!r}")
 
 
 def loss_and_grad(params, batch_x, prior_batch, lam, estimator="SW",
@@ -148,8 +142,9 @@ def loss_and_grad(params, batch_x, prior_batch, lam, estimator="SW",
     enc_acts, enc_pres = _forward(params.encoder, batch_x, "encoder")
     z = enc_acts[-1]
     if lam != 0.0:
+        num_projections = (estimator_config or {}).get("num_projections", 1000)
         latent, dz_latent = _latent_value_and_grad(z, prior_batch, estimator,
-                                                   estimator_config, seed)
+                                                   num_projections, seed)
     else:
         latent, dz_latent = 0.0, np.zeros_like(z)
     dec_acts, dec_pres = _forward(params.decoder, z, "decoder")

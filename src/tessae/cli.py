@@ -145,6 +145,8 @@ def cmd_rates(args):
 
 
 def cmd_ineq(args):
+    if any(args.n_points % m for m in (2, 4, 8)):
+        raise ValueError(f"--n-points must divide by 8 (m = 2, 4, 8), got {args.n_points}")
     total_violations = 0
     for m in (2, 4, 8):
         res = exp.eq19_check(args.n_points, m, args.dim, args.trials, args.seed,
@@ -170,6 +172,8 @@ def cmd_varcheck(args):
 
 
 def cmd_assign_bench(args):
+    if min(args.n_points, args.m) < 1 or args.n_points % args.m:
+        raise ValueError(f"--n-points {args.n_points} is not a positive multiple of --m {args.m}")
     rng = derive_rng(args.seed, 0)
     points = rng.standard_normal((args.n_points, args.dim))
     tess, _ = lloyd_cvt(args.dim, args.m, seed=args.seed) if args.dim <= 8 else (None, None)

@@ -2,9 +2,6 @@
 1-D sorted, sliced (SW), max-sliced, circular generalized-sliced and the
 Gaussian closed form (GW), with analytic gradients for SW and GW."""
 
-import json
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
@@ -14,17 +11,6 @@ from .seeding import as_rng
 
 class NumericalFailure(RuntimeError):
     """Non-finite value encountered inside a closed-form computation."""
-
-
-@dataclass(frozen=True)
-class DiscrepancyEstimate:
-    value: float
-    estimator: str  # EXACT | SW | MAXSW | GSW | GW
-    projections_used: int = 0
-
-    def to_json(self):
-        return json.dumps({"estimator": self.estimator, "value": self.value,
-                           "projections_used": self.projections_used})
 
 
 def _check_pair(a, b, equal_size=True):
@@ -45,7 +31,7 @@ def wasserstein_exact(a, b):
     """Exact squared W2 between equal-size point sets via minimum-cost
     perfect matching on the squared-distance matrix.
 
-    Returns (estimate, sigma) where sigma is the optimal permutation:
+    Returns (value, sigma) where sigma is the optimal permutation:
     a[i] is matched with b[sigma[i]].
     """
     a, b = _check_pair(a, b)
@@ -56,8 +42,7 @@ def wasserstein_exact(a, b):
     rows, cols = linear_sum_assignment(cost)
     sigma = np.empty(n, dtype=int)
     sigma[rows] = cols
-    value = float(cost[rows, cols].sum() / n)
-    return DiscrepancyEstimate(value, "EXACT"), sigma
+    return float(cost[rows, cols].sum() / n), sigma
 
 
 def w2_1d_sorted(a, b):
@@ -94,7 +79,7 @@ def sw2(a, b, num_projections=1000, seed=0):
     random directions on the unit sphere."""
     a, b = _check_pair(a, b)
     dirs = directions(a.shape[1], num_projections, as_rng(seed))
-    return DiscrepancyEstimate(sw2_projected(a, b, dirs), "SW", num_projections)
+    return sw2_projected(a, b, dirs)
 
 
 def _matched_diffs(pa, pb):
@@ -129,7 +114,7 @@ def _matched_1d(a, b, w):
 
 def max_sw2(a, b, ascent_iters=10, step_size=0.1, seed=0):
     """Max-sliced squared W2: projected gradient ascent on the sphere for
-    the worst direction.  Returns (estimate, direction)."""
+    the worst direction.  Returns (value, direction)."""
     a, b = _check_pair(a, b)
     if ascent_iters < 1:
         raise ValueError("ascent_iters must be >= 1")
@@ -151,7 +136,7 @@ def max_sw2(a, b, ascent_iters=10, step_size=0.1, seed=0):
         v, g = value_grad(w)
         if v > best_v:
             best_v, best_w = v, w.copy()
-    return DiscrepancyEstimate(best_v, "MAXSW", ascent_iters), best_w
+    return best_v, best_w
 
 
 def maxsw2_gradient(a, b, direction):
@@ -192,12 +177,12 @@ def gsw2_circular(a, b, num_projections=1000, pivot_radius=None, seed=0):
     pivots = _gsw_pivots(a, b, num_projections, pivot_radius, seed)
     fa = np.sort(_gsw_features(a, pivots), axis=0)
     fb = np.sort(_gsw_features(b, pivots), axis=0)
-    return DiscrepancyEstimate(float(((fa - fb) ** 2).mean()), "GSW", num_projections)
+    return float(((fa - fb) ** 2).mean())
 
 
 def gsw2_value_and_grad(a, b, num_projections=1000, pivot_radius=None, seed=0):
     """gsw2_circular and its gradient with respect to a from one feature
-    map and one sort; returns (estimate, gradient)."""
+    map and one sort; returns (value, gradient)."""
     a, b = _check_pair(a, b)
     pivots = _gsw_pivots(a, b, num_projections, pivot_radius, seed)
     fa = _gsw_features(a, pivots)
@@ -205,7 +190,7 @@ def gsw2_value_and_grad(a, b, num_projections=1000, pivot_radius=None, seed=0):
     # d feature / d a_i = (a_i - pivot_l) / fa[i, l]
     c = (2.0 / (len(a) * num_projections)) * coeff / fa
     grad = c.sum(axis=1)[:, None] * a - c @ pivots
-    return DiscrepancyEstimate(float((diff ** 2).mean()), "GSW", num_projections), grad
+    return float((diff ** 2).mean()), grad
 
 
 def gsw2_gradient(a, b, num_projections=1000, pivot_radius=None, seed=0):
@@ -247,7 +232,7 @@ def gw2(a, b):
     value = float(((m1 - m2) ** 2).sum() + np.trace(s1 + s2 - 2.0 * cross))
     if not np.isfinite(value):
         raise NumericalFailure("non-finite GW value")
-    return DiscrepancyEstimate(max(value, 0.0), "GW")
+    return max(value, 0.0)
 
 
 def gw2_gradient(a, b):

@@ -130,13 +130,13 @@ def eq19_check(n_points, m, dim, trials, seed=0, out_csv=None):
         rng = derive_rng(seed, 10, t)
         prior_pts = sample_unit_ball(dim, n_points, rng)
         encoded = 0.5 / np.sqrt(dim) * rng.standard_normal((n_points, dim)) + 0.1
-        lhs = wasserstein_exact(prior_pts, encoded)[0].value
+        lhs = wasserstein_exact(prior_pts, encoded)[0]
         enc_plan = lcm_assign(encoded, generators, n)
         # prior points cluster by nearest region, rebalanced to capacity
         # by the exact capacity-constrained assigner
         pri_plan = optimal_assign(prior_pts, generators, n)
         rhs = np.mean([wasserstein_exact(prior_pts[pri_plan.assignment == j],
-                                         encoded[enc_plan.assignment == j])[0].value
+                                         encoded[enc_plan.assignment == j])[0]
                        for j in range(m)])
         margins.append(float(rhs - lhs))
     margins = np.array(margins)
@@ -172,7 +172,7 @@ def theorem6_check(n_grid, dims, trials, seed=0, out_csv=None):
                 else:
                     a = rng.standard_normal((n, dim)) * rng.uniform(0.1, 3.0, size=dim)
                     b = sample_unit_ball(dim, n, rng)
-                w = wasserstein_exact(a, b)[0].value
+                w = wasserstein_exact(a, b)[0]
                 bound = (2.0 * (n - 1) / (n - 4)) * (
                     np.trace(np.cov(a.T).reshape(dim, dim))
                     + np.trace(np.cov(b.T).reshape(dim, dim)))
@@ -244,7 +244,8 @@ def gap_study(params, tess, dataset, n, trials=4, num_projections=256,
     m = tess.region_count
     use = m * n
     if len(dataset) < use:
-        raise ValueError("dataset too small for m*n points")
+        raise ValueError(f"dataset of {len(dataset)} points is smaller than "
+                         f"m*n = {m}*{n} = {use}")
     z = encode(params, dataset.points[:use])
     plan = lcm_assign(z, tess.generators, n)
     # each region, then the whole ball: points, prior sampler, stream keys

@@ -43,6 +43,10 @@ class TrainConfig:
             raise ValueError("alpha must be >= 0")
         if self.chunk_size % self.m != 0:
             raise ValueError("chunk_size must be divisible by m")
+        unknown = set(self.estimator_config) - {"num_projections"}
+        if unknown:
+            raise ValueError("estimator_config reads only 'num_projections', "
+                             f"not {sorted(unknown, key=repr)}")
 
     @property
     def region_batch(self):

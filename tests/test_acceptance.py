@@ -32,7 +32,7 @@ def test_criterion_01_oracle_equivalence():
         n = int(rng.integers(2, 33))
         a = rng.standard_normal(n) * rng.uniform(0.5, 3.0)
         b = rng.standard_normal(n) + rng.uniform(-2, 2)
-        exact = wasserstein_exact(a[:, None], b[:, None])[0].value
+        exact = wasserstein_exact(a[:, None], b[:, None])[0]
         worst = max(worst, abs(w2_1d_sorted(a, b) - exact))
     assert worst <= 1e-12, f"max |sorted - exact| = {worst:.3e}"
     report(f"criterion 1: sorted 1-D W2 == exact solver on 200 instances "
@@ -142,12 +142,12 @@ def test_criterion_09_gradients():
         a = rng.standard_normal((8, 4))
         b = rng.standard_normal((8, 4)) * rng.uniform(0.5, 1.5)
         g = sw2_gradient(a, b, 32, seed=s)
-        fd = fd_gradient(lambda x: sw2(x, b, 32, seed=s).value, a)
+        fd = fd_gradient(lambda x: sw2(x, b, 32, seed=s), a)
         worst_sw = max(worst_sw, np.abs(g - fd).max() / np.abs(fd).max())
         a16 = rng.standard_normal((16, 4))
         b16 = rng.standard_normal((16, 4)) * 1.3 + 0.2
         g = gw2_gradient(a16, b16)
-        fd = fd_gradient(lambda x: gw2(x, b16).value, a16)
+        fd = fd_gradient(lambda x: gw2(x, b16), a16)
         worst_gw = max(worst_gw, np.abs(g - fd).max() / np.abs(fd).max())
     assert worst_sw <= 1e-4, f"sw2 gradient rel err {worst_sw:.2e}"
     assert worst_gw <= 1e-3, f"gw2 gradient rel err {worst_gw:.2e}"
@@ -193,8 +193,8 @@ def test_criterion_10_gw_closed_form():
     d1, d2 = np.array([1.0, 2.0, 0.5]), np.array([0.3, 1.5, 2.5])
     a, b = make(m1, d1, 200), make(m2, d2, 200)
     expected = ((m1 - m2) ** 2).sum() + ((np.sqrt(d1) - np.sqrt(d2)) ** 2).sum()
-    diag_err = abs(gw2(a, b).value - expected)
-    zero = gw2(a, a).value
+    diag_err = abs(gw2(a, b) - expected)
+    zero = gw2(a, a)
     assert diag_err <= 1e-10, f"diagonal analytic error {diag_err:.2e}"
     assert zero <= 1e-10, f"identical-set value {zero:.2e}"
     report(f"criterion 10: GW diagonal analytic err {diag_err:.1e}, "

@@ -198,8 +198,9 @@ def test_run_error_is_one_line_exit_2(tmp_path, monkeypatch, capsys):
 
 
 def gap_inputs(tmp_path):
+    # 20 regions: run_gap's --count 200 holds exactly --n 10 per region
     save_checkpoint(init_params([2, 8], 2, seed=0), str(tmp_path / "ckpt"))
-    tess, _ = lloyd_cvt(2, 4, seed=0)
+    tess, _ = lloyd_cvt(2, 20, seed=0)
     (tmp_path / "tess.json").write_text(tess.to_json())
     return tmp_path / "ckpt.json", tmp_path / "tess.json"
 
@@ -278,10 +279,19 @@ def test_gap_wrong_typed_json_is_one_line_exit_2(tmp_path, capsys, which, key, v
     (["train", *SMALL_TRAIN, "--latent-dim", "0"], "latent_dim must be >= 1"),
     (["cvt", "--dim", "0", "--m", "4"], "dim must be >= 1"),
     (["ineq", "--n-points", "0"], "n_points must be in [1, 256] and divisible by m"),
+    (["gap", "--count", "400", "--n", "50"],
+     "dataset of 400 points is smaller than m*n = 20*50 = 1000"),
+    (["ineq", "--n-points", "6"], "--n-points must divide by 8 (m = 2, 4, 8), got 6"),
+    (["assign-bench", "--n-points", "1001", "--m", "400"],
+     "--n-points 1001 is not a positive multiple of --m 400"),
+    (["assign-bench", "--n-points", "0", "--m", "400"],
+     "--n-points 0 is not a positive multiple of --m 400"),
 ], ids=["train-epochs", "train-n-chunk", "train-projections", "cvt-max-iters",
         "gap-trials", "gap-n", "gap-projections", "varcheck-n", "varcheck-n-above-population",
         "ineq-trials", "train-dataset-below-chunk", "train-hidden-0", "train-hidden-negative",
-        "train-latent-dim", "cvt-dim", "ineq-n-points"])
+        "train-latent-dim", "cvt-dim", "ineq-n-points", "gap-count-below-m-n",
+        "ineq-n-points-not-divisible-by-8", "assign-bench-n-points-not-multiple",
+        "assign-bench-n-points-0"])
 def test_bad_count_is_one_line_exit_2(tmp_path, capsys, argv, message):
     if argv[0] == "gap":
         gap_inputs(tmp_path)
@@ -290,3 +300,4 @@ def test_bad_count_is_one_line_exit_2(tmp_path, capsys, argv, message):
         code = main([*argv, "--out", str(tmp_path / "o")])
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.rglob("*.csv"))  # rejected before any audit or benchmark

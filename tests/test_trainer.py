@@ -39,6 +39,13 @@ def test_config_validation():
     assert small_config().region_batch == 10
 
 
+@pytest.mark.parametrize("key", ["ascent_iters", "num_projection"])
+def test_estimator_config_unknown_key_rejected(key):
+    # only num_projections is read; any other key would be ignored silently
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        small_config(estimator_config={"num_projections": 16, key: 5})
+
+
 def test_build_tessellation_e8_guard():
     with pytest.raises(ValueError):
         build_tessellation(small_config(tessellation_kind="E8"))
