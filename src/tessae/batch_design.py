@@ -2,7 +2,6 @@
 the greedy least-cost heuristic and an exact oracle for small instances."""
 
 import heapq
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,17 +21,6 @@ class AssignmentPlan:
     @property
     def size(self):
         return len(self.assignment)
-
-    def to_json(self):
-        return json.dumps({"capacity": self.capacity,
-                           "assignment": self.assignment.tolist(),
-                           "cost": self.cost})
-
-    @classmethod
-    def from_json(cls, text):
-        obj = json.loads(text)
-        return cls(assignment=np.array(obj["assignment"]),
-                   capacity=obj["capacity"], cost=obj["cost"])
 
 
 def sq_dists(a, b):
@@ -62,77 +50,44 @@ def _finalize(points, generators, assignment, capacity):
     return AssignmentPlan(assignment=assignment, capacity=capacity, cost=cost)
 
 
-_CANDIDATES = 32  # per-row candidate list length; speed only, never the plan
-
-
-def _row_candidates(dmat):
-    """Per row, the first _CANDIDATES columns of its stable (distance,
-    column) order and their distances, as (N, min(m, _CANDIDATES)) arrays.
-    A row whose cut value also occurs outside the argpartition pick (which
-    may have kept a larger column of equal distance) takes the prefix of
-    its full sort."""
-    if dmat.shape[1] <= _CANDIDATES:
-        cols = np.argsort(dmat, axis=1, kind="stable")
-        return cols, np.take_along_axis(dmat, cols, axis=1)
-    cols = np.sort(np.argpartition(dmat, _CANDIDATES - 1, axis=1)[:, :_CANDIDATES], axis=1)
-    vals = np.take_along_axis(dmat, cols, axis=1)
-    by_dist = np.argsort(vals, axis=1, kind="stable")
-    cols = np.take_along_axis(cols, by_dist, axis=1)
-    vals = np.take_along_axis(vals, by_dist, axis=1)
-    cut_tied = np.flatnonzero(np.count_nonzero(dmat <= vals[:, -1:], axis=1) > _CANDIDATES)
-    cols[cut_tied] = np.argsort(dmat[cut_tied], axis=1, kind="stable")[:, :_CANDIDATES]
-    vals[cut_tied] = np.take_along_axis(dmat[cut_tied], cols[cut_tied], axis=1)
-    return cols, vals
-
-
 def lcm_assign(points, generators, capacity):
     """Greedy least-cost assignment: repeatedly take the globally smallest
     unmasked distance entry (ties by smaller row, then smaller column),
     assign the point, mask its row, and mask a column once it holds
     `capacity` points.
 
-    The walk is lazy.  A heap holds one entry (d, i, j) per unassigned row
-    i: its first candidate column j still open when last looked at.  Column
-    capacity only ever decreases, so an entry is never larger than its
-    row's first live one; when the smallest entry's column is open, it is
-    the globally smallest live (d, i, j), the entry the walk over the
-    stable argsort of all N*m distances would take next.  When it is full,
-    the row advances to its next open candidate.  A row that exhausts its
-    candidate list continues in its full stable sort.  Exactness needs
-    each candidate list to be a prefix of the row's (distance, column)
-    order, so a row with a tie at the cut takes its list from its full
-    sort (see _row_candidates)."""
+    A heap holds one entry (d, i, j) per unassigned row i: the smallest
+    (distance, column) of row i among the columns open when it was taken.
+    Columns only ever close, so when the smallest entry's column is open
+    it is the globally smallest live entry; when it has closed, the row's
+    entry becomes the argmin of its distances plus `closed` (inf on full
+    columns), its smallest open (distance, column)."""
     m = len(generators)
     n_points = len(points)
     if n_points != capacity * m:
-        raise ValueError("need N = capacity * m")
+        raise ValueError(f"need N = capacity * m, got N={n_points}, "
+                         f"capacity={capacity}, m={m}")
     dmat = distance_matrix(points, generators)
-    cand_cols, cand_vals = _row_candidates(dmat)
-    heap = list(zip(cand_vals[:, 0].tolist(), range(n_points), cand_cols[:, 0].tolist()))
+    if not np.isfinite(dmat).all():
+        raise ValueError("lcm_assign needs finite squared distances")
+    heap = list(zip(dmat.min(axis=1).tolist(), range(n_points),
+                    dmat.argmin(axis=1).tolist()))
     heapq.heapify(heap)
-    advanced = {}  # row -> (position, columns, distances) once it has moved on
     assignment = np.full(n_points, -1, dtype=int)
     col_slots = [capacity] * m
+    closed = np.zeros(m)
     while heap:
         _, i, j = heap[0]
         if col_slots[j]:
             heapq.heappop(heap)
             assignment[i] = j
             col_slots[j] -= 1
+            if not col_slots[j]:
+                closed[j] = np.inf
             continue
-        p, row_cols, row_vals = (advanced.get(i)
-                                 or (0, cand_cols[i].tolist(), cand_vals[i].tolist()))
-        p += 1
-        while p < len(row_cols) and not col_slots[row_cols[p]]:
-            p += 1
-        if p == len(row_cols):
-            # candidates exhausted: the full sort starts with the same list
-            order = np.argsort(dmat[i], kind="stable")
-            row_cols, row_vals = order.tolist(), dmat[i, order].tolist()
-            while not col_slots[row_cols[p]]:
-                p += 1
-        advanced[i] = (p, row_cols, row_vals)
-        heapq.heapreplace(heap, (row_vals[p], i, row_cols[p]))
+        row = dmat[i] + closed
+        k = int(row.argmin())
+        heapq.heapreplace(heap, (float(row[k]), i, k))
     return _finalize(np.asarray(points, dtype=float),
                      np.asarray(generators, dtype=float), assignment, capacity)
 
@@ -145,7 +100,8 @@ def optimal_assign(points, generators, capacity):
     m = len(generators)
     n_points = len(points)
     if n_points != capacity * m:
-        raise ValueError("need N = capacity * m")
+        raise ValueError(f"need N = capacity * m, got N={n_points}, "
+                         f"capacity={capacity}, m={m}")
     if n_points > 256:
         raise ValueError("optimal_assign limited to N <= 256")
     dmat = distance_matrix(points, generators)

@@ -79,11 +79,19 @@ def _load_dataset(args):
     raise ValueError(f"unknown dataset {args.dataset!r}")
 
 
+def _int_list(flag, text):
+    """The comma-separated ints of a flag's value, empty items skipped."""
+    try:
+        return [int(item) for item in text.split(",") if item]
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated ints, got {text!r}") from None
+
+
 def _train_config(args, data_dim):
     lam = args.lam
     if lam is None:
         lam = 1.0 if args.estimator == "SW" else 0.01
-    hidden = [int(h) for h in args.hidden.split(",") if h]
+    hidden = _int_list("--hidden", args.hidden)
     return TrainConfig(
         m=args.m, chunk_size=args.n_chunk, epochs=args.epochs,
         latent_dim=args.latent_dim, layer_sizes=[data_dim] + hidden,
@@ -137,7 +145,7 @@ def cmd_gap(args):
 
 
 def cmd_rates(args):
-    grid = [int(n) for n in args.n_grid.split(",")]
+    grid = _int_list("--n-grid", args.n_grid)
     r1, r2 = exp.rate_study_sw(args.dim, grid, args.trials, args.projections,
                                args.seed, out_csv=os.path.join(args.out, "rates.csv"))
     print(f"rates: |sw2(Pn,Qn)-ref| slope={r1.slope:.3f}, "

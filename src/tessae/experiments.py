@@ -71,8 +71,8 @@ def rate_study_sw(dim, n_grid, trials, num_projections=1000, seed=0,
     n_grid = sorted(int(n) for n in n_grid)
     if trials < 20:
         raise ValueError("trials must be >= 20")
-    if n_grid[0] < 32 or n_grid[-1] > 8192:
-        raise ValueError("n_grid must lie in [32, 8192]")
+    if not n_grid or n_grid[0] < 32 or n_grid[-1] > 8192:
+        raise ValueError("n_grid must be nonempty and lie in [32, 8192]")
     dirs = directions(dim, num_projections, derive_rng(seed, 0))
 
     def draw_p(n, rng):

@@ -39,8 +39,10 @@ class TrainConfig:
         for name in ("m", "chunk_size", "epochs", "latent_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        for name in ("lam", "alpha", "learning_rate"):
+            value = getattr(self, name)
+            if not value >= 0:  # also rejects NaN
+                raise ValueError(f"{name} must be >= 0, got {value}")
         if self.chunk_size % self.m != 0:
             raise ValueError("chunk_size must be divisible by m")
         unknown = set(self.estimator_config) - {"num_projections"}

@@ -286,12 +286,18 @@ def test_gap_wrong_typed_json_is_one_line_exit_2(tmp_path, capsys, which, key, v
      "--n-points 1001 is not a positive multiple of --m 400"),
     (["assign-bench", "--n-points", "0", "--m", "400"],
      "--n-points 0 is not a positive multiple of --m 400"),
+    (["train", *SMALL_TRAIN, "--lambda", "-1"], "lam must be >= 0, got -1.0"),
+    (["rates", "--n-grid", "32,x"], "--n-grid must be comma-separated ints, got '32,x'"),
+    (["rates", "--n-grid", ","], "n_grid must be nonempty and lie in [32, 8192]"),
+    (["train", *SMALL_TRAIN, "--hidden", "64,x"],
+     "--hidden must be comma-separated ints, got '64,x'"),
 ], ids=["train-epochs", "train-n-chunk", "train-projections", "cvt-max-iters",
         "gap-trials", "gap-n", "gap-projections", "varcheck-n", "varcheck-n-above-population",
         "ineq-trials", "train-dataset-below-chunk", "train-hidden-0", "train-hidden-negative",
         "train-latent-dim", "cvt-dim", "ineq-n-points", "gap-count-below-m-n",
         "ineq-n-points-not-divisible-by-8", "assign-bench-n-points-not-multiple",
-        "assign-bench-n-points-0"])
+        "assign-bench-n-points-0", "train-lambda-negative", "rates-n-grid-not-int",
+        "rates-n-grid-empty", "train-hidden-not-int"])
 def test_bad_count_is_one_line_exit_2(tmp_path, capsys, argv, message):
     if argv[0] == "gap":
         gap_inputs(tmp_path)

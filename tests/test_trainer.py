@@ -34,9 +34,15 @@ def ring():
 def test_config_validation():
     with pytest.raises(ValueError):
         small_config(m=3)  # 40 not divisible by 3
-    with pytest.raises(ValueError):
-        small_config(alpha=-0.1)
     assert small_config().region_batch == 10
+
+
+@pytest.mark.parametrize("value", [-1.0, float("nan")])
+@pytest.mark.parametrize("name", ["lam", "alpha", "learning_rate"])
+def test_negative_or_nan_value_rejected(name, value):
+    # a negative lam ascends the latent discrepancy; zero stays legal
+    with pytest.raises(ValueError, match=f"{name} must be >= 0, got {value}"):
+        small_config(**{name: value})
 
 
 @pytest.mark.parametrize("key", ["ascent_iters", "num_projection"])
