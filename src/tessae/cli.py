@@ -54,6 +54,17 @@ def _read_config_file(path):
     return flags
 
 
+# float flags that must be >= 0 -> their attribute in the parsed args
+_NONNEGATIVE = {"--lambda": "lam", "--alpha": "alpha", "--learning-rate": "learning_rate"}
+
+
+def _check_nonnegative(args):
+    for flag, name in _NONNEGATIVE.items():
+        value = getattr(args, name, None)
+        if value is not None and not value >= 0:  # also rejects NaN
+            raise ValueError(f"{flag} must be >= 0, got {value}")
+
+
 def _prepare_out(args):
     os.makedirs(args.out, exist_ok=True)
     snapshot = {k: v for k, v in vars(args).items() if k != "func"}
@@ -299,9 +310,10 @@ def main(argv=None):
             if cfg_path is not None:
                 argv[1:1] = _read_config_file(cfg_path)
         args = parser.parse_args(argv)
+        _check_nonnegative(args)
     except SystemExit as err:
         return err.code if err.code is not None else 0
-    except (OSError, ValueError) as err:  # an unreadable or invalid config file
+    except (OSError, ValueError) as err:  # an unreadable config file or a bad value
         print(f"error: {err}", file=sys.stderr)
         return 2
     _prepare_out(args)

@@ -1,9 +1,11 @@
 """Tessellations of the unit ball: CVT (Lloyd / streaming K-means) and the
 241-region E8 root-system scheme, plus uniform-ball and per-region sampling."""
 
+import functools
 import itertools
 import json
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,8 +49,16 @@ class Tessellation:
             raise ValueError("generators must lie in the closed unit ball")
         if len(np.unique(g, axis=0)) != len(g):
             raise ValueError("generators must be pairwise distinct")
-        if self.kind == E8 and (self.dim != 8 or len(g) != 241):
-            raise ValueError("E8 tessellation requires dim=8 and m=241")
+        if self.kind == E8:
+            # sample_region's Weyl map is valid only for this exact configuration
+            if self.dim != 8 or len(g) != 241:
+                raise ValueError("E8 tessellation requires dim=8 and m=241")
+            r = self.shell_radius
+            if isinstance(r, bool) or not isinstance(r, numbers.Real) or not 0 < r <= 1:
+                raise ValueError(f"E8 tessellation needs a shell_radius in (0, 1], got {r!r}")
+            if not np.array_equal(g, e8_generators(r)):
+                raise ValueError("E8 generators must be the origin then shell_radius times "
+                                 "the unit E8 roots, in e8_roots() order")
 
     @property
     def region_count(self):
@@ -210,6 +220,47 @@ def e8_roots():
     return np.array(roots)
 
 
+def e8_generators(shell_radius):
+    """The 241 E8 generators: the origin, then shell_radius times each unit
+    root in e8_roots() order."""
+    return np.vstack([np.zeros(8), shell_radius * (e8_roots() / np.sqrt(2.0))])
+
+
+@functools.cache
+def e8_frames():
+    """(240, 8, 8) Weyl-group elements: frames[k] @ e8_roots()[0] == e8_roots()[k].
+
+    With a = root 0 and b = root k, frames[k] is I, -I, the root reflection
+    s(a - b) or -s(a + b), where s(g) = I - g g^T, by a.b = 2, -2, 1 or -1.
+    For a.b = 0 it is s(c - b) s(a - c), c the first root with a.c = c.b = 1.
+    The entries are dyadic, so products with roots are exact.  The table is
+    read-only: every caller shares it.
+    """
+    roots = e8_roots()
+    eye = np.eye(8)
+
+    def reflect(g):
+        return eye - np.outer(g, g)
+
+    a = roots[0]
+    frames = np.empty((240, 8, 8))
+    for k, b in enumerate(roots):
+        dot = a @ b
+        if dot == 2:
+            frames[k] = eye
+        elif dot == -2:
+            frames[k] = -eye
+        elif dot == 1:
+            frames[k] = reflect(a - b)
+        elif dot == -1:
+            frames[k] = -reflect(a + b)
+        else:
+            c = roots[np.flatnonzero((roots @ a == 1) & (roots @ b == 1))[0]]
+            frames[k] = reflect(c - b) @ reflect(a - c)
+    frames.setflags(write=False)
+    return frames
+
+
 def e8_tessellation(calibration_samples=1_000_000, seed=0):
     """241-region tessellation of the 8-ball: the origin plus the 240 E8
     root directions placed on a shell of radius r*.
@@ -255,27 +306,41 @@ def e8_tessellation(calibration_samples=1_000_000, seed=0):
     if abs(f_final - target) > 0.01 * target:
         raise ShellCalibrationError(
             f"bisection stalled at fraction {f_final:.6f} (target {target:.6f})")
-    gens = np.vstack([np.zeros(8), r_star * units])
-    return Tessellation(dim=8, generators=gens, kind=E8, shell_radius=r_star)
+    return Tessellation(dim=8, generators=e8_generators(r_star), kind=E8,
+                        shell_radius=r_star)
 
 
 def sample_region(tess, region_index, count, seed):
-    """Rejection sampling: uniform-ball draws filtered to one region.
+    """count i.i.d. points uniform on one region: uniform-ball draws kept
+    where regions_of says region_index.
 
-    Expected acceptance is ~1/m; aborts if the observed acceptance drops
-    below 1/(50 m) over a one-million-draw window.
+    On an E8 tessellation an outer region k takes every draw outside the
+    centre: with Q_j = e8_frames()[j - 1], Q_k Q_j^T is in W(E8), which
+    permutes the generators and fixes the ball, so it carries region j onto
+    region k, preserving volume.  Mapped points are labelled again, so a
+    point that rounding puts across a face is dropped.  The centre and every
+    CVT region keep only the draws that land in them (acceptance ~1/m).
+    Aborts if the observed acceptance drops below 1/(50 m) over a
+    one-million-draw window.
     """
     m = tess.region_count
     if not 0 <= region_index < m:
         raise ValueError(f"region_index {region_index} out of range [0, {m})")
+    frames = e8_frames() if tess.kind == E8 and region_index > 0 else None
     rng = as_rng(seed)
     out = []
     accepted = 0
     window_draws = 0
     window_accepts = 0
     while accepted < count:
-        chunk = count if m == 1 else min(count * m, 1_000_000)
+        chunk = count if m == 1 or frames is not None else min(count * m, 1_000_000)
         pts = sample_unit_ball(tess.dim, chunk, rng)
+        if frames is not None:
+            labels = regions_of(tess, pts)
+            outer = labels > 0
+            # row i: Q_k (Q_j^T x_i), j its region
+            pts = (np.einsum("nij,ni->nj", frames[labels[outer] - 1], pts[outer])
+                   @ frames[region_index - 1].T)
         keep = pts[regions_of(tess, pts) == region_index]
         out.append(keep)
         accepted += len(keep)

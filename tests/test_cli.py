@@ -6,7 +6,7 @@ import pytest
 from tessae.autoencoder import init_params, save_checkpoint
 from tessae.cli import main
 from tessae.data import write_idx_images
-from tessae.tessellation import lloyd_cvt
+from tessae.tessellation import Tessellation, e8_generators, lloyd_cvt
 from tessae.trainer import TrainingAborted
 
 
@@ -233,6 +233,21 @@ def test_gap_tessellation_without_generators_is_one_line_exit_2(tmp_path, capsys
     assert err.startswith("error: ") and err.count("\n") == 1 and "'generators'" in err
 
 
+@pytest.mark.parametrize("edit", ["permuted", "perturbed"])
+def test_gap_on_a_bad_e8_file_is_one_line_exit_2(tmp_path, capsys, edit):
+    gap_inputs(tmp_path)
+    tess = Tessellation(dim=8, generators=e8_generators(0.5), kind="E8", shell_radius=0.5)
+    obj = json.loads(tess.to_json())
+    if edit == "permuted":
+        obj["generators"][1], obj["generators"][2] = obj["generators"][2], obj["generators"][1]
+    else:
+        obj["generators"][7][3] += 1e-12
+    (tmp_path / "tess.json").write_text(json.dumps(obj))
+    assert run_gap(tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: E8 generators must be") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("which,key,value,needle", [
     ("ckpt", "layer_sizes", ["2", "8"], "'layer_sizes'"),
     ("ckpt", "layer_sizes", [2, True], "'layer_sizes'"),
@@ -286,7 +301,9 @@ def test_gap_wrong_typed_json_is_one_line_exit_2(tmp_path, capsys, which, key, v
      "--n-points 1001 is not a positive multiple of --m 400"),
     (["assign-bench", "--n-points", "0", "--m", "400"],
      "--n-points 0 is not a positive multiple of --m 400"),
-    (["train", *SMALL_TRAIN, "--lambda", "-1"], "lam must be >= 0, got -1.0"),
+    (["train", *SMALL_TRAIN, "--lambda", "-1"], "--lambda must be >= 0, got -1.0"),
+    (["train", *SMALL_TRAIN, "--learning-rate", "-1"], "--learning-rate must be >= 0, got -1.0"),
+    (["train", *SMALL_TRAIN, "--alpha", "nan"], "--alpha must be >= 0, got nan"),
     (["rates", "--n-grid", "32,x"], "--n-grid must be comma-separated ints, got '32,x'"),
     (["rates", "--n-grid", ","], "n_grid must be nonempty and lie in [32, 8192]"),
     (["train", *SMALL_TRAIN, "--hidden", "64,x"],
@@ -296,7 +313,8 @@ def test_gap_wrong_typed_json_is_one_line_exit_2(tmp_path, capsys, which, key, v
         "ineq-trials", "train-dataset-below-chunk", "train-hidden-0", "train-hidden-negative",
         "train-latent-dim", "cvt-dim", "ineq-n-points", "gap-count-below-m-n",
         "ineq-n-points-not-divisible-by-8", "assign-bench-n-points-not-multiple",
-        "assign-bench-n-points-0", "train-lambda-negative", "rates-n-grid-not-int",
+        "assign-bench-n-points-0", "train-lambda-negative", "train-learning-rate-negative",
+        "train-alpha-nan", "rates-n-grid-not-int",
         "rates-n-grid-empty", "train-hidden-not-int"])
 def test_bad_count_is_one_line_exit_2(tmp_path, capsys, argv, message):
     if argv[0] == "gap":

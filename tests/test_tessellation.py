@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tessae.tessellation import (Tessellation, cvt_energy, e8_roots,
-                                 e8_tessellation, kmeans_cvt, lloyd_cvt,
+from tessae import tessellation
+from tessae.seeding import derive_rng
+from tessae.tessellation import (Tessellation, cvt_energy, e8_frames, e8_generators,
+                                 e8_roots, e8_tessellation, kmeans_cvt, lloyd_cvt,
                                  region_of, regions_of, sample_region,
                                  sample_unit_ball)
 
@@ -204,6 +206,30 @@ def test_e8_tessellation_json_roundtrip(e8):
     assert back.shell_radius == e8.shell_radius
 
 
+def test_e8_rejects_generators_other_than_the_root_shell(e8):
+    obj = json.loads(e8.to_json())
+    permuted = dict(obj, generators=[obj["generators"][0], *obj["generators"][:0:-1]])
+    perturbed = json.loads(e8.to_json())
+    perturbed["generators"][5][0] *= 1 + 1e-12
+    for bad in (permuted, perturbed):
+        with pytest.raises(ValueError, match="E8 generators must be"):
+            Tessellation.from_json(json.dumps(bad))
+    for radius in (None, 0.0, 1.5, "0.5"):
+        with pytest.raises(ValueError, match="shell_radius"):
+            Tessellation.from_json(json.dumps(dict(obj, shell_radius=radius)))
+
+
+def test_e8_frames_are_weyl_elements():
+    roots = e8_roots()
+    frames = e8_frames()
+    assert frames.shape == (240, 8, 8) and not frames.flags.writeable
+    as_sorted = sorted(map(tuple, roots))
+    for k, q in enumerate(frames):
+        assert np.array_equal(q.T @ q, np.eye(8))
+        assert np.array_equal(q @ roots[0], roots[k])
+        assert sorted(map(tuple, roots @ q.T)) == as_sorted
+
+
 def test_e8_calibration_precondition():
     with pytest.raises(ValueError):
         e8_tessellation(100_000, seed=0)
@@ -259,3 +285,62 @@ def test_tessellation_json_roundtrip_any(tess):
     back = Tessellation.from_json(tess.to_json())
     assert back.generators.tobytes() == tess.generators.tobytes()
     assert (back.dim, back.kind, back.shell_radius) == (tess.dim, tess.kind, tess.shell_radius)
+
+
+def _sample_moments_agree(a, b):
+    """Per-coordinate means, second moments and radial quantiles of two
+    samples agree within 5 standard errors of their sizes."""
+    def within(fa, fb):
+        se = np.sqrt(fa.var(axis=0) / len(fa) + fb.var(axis=0) / len(fb))
+        return np.abs(fa.mean(axis=0) - fb.mean(axis=0)) <= 5 * se
+
+    def products(x):
+        return (x[:, :, None] * x[:, None, :]).reshape(len(x), -1)
+
+    assert np.all(within(a, b))
+    assert np.all(within(products(a), products(b)))
+    # the share of a's radii below b's q-quantile is q up to both samples' noise
+    ra, rb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
+    for q in (0.1, 0.5, 0.9):
+        share = (ra <= np.quantile(rb, q)).mean()
+        assert abs(share - q) <= 5 * np.sqrt(q * (1 - q) * (1 / len(a) + 1 / len(b)))
+
+
+@pytest.mark.parametrize("k", [0, 1, 120, 240])
+def test_e8_sample_region_matches_rejection(e8, k):
+    # the same generators labelled CVT take the plain rejection path; both
+    # are drawn in pieces so that a rejection round's label matrix stays small
+    oracle = Tessellation(dim=8, generators=e8.generators, kind="CVT")
+    expected = np.concatenate([sample_region(oracle, k, 250, seed=100 + s) for s in range(8)])
+    got = np.concatenate([sample_region(e8, k, 250, seed=200 + s) for s in range(8)])
+    assert np.all(regions_of(e8, got) == k)
+    _sample_moments_agree(got, expected)
+
+
+def test_e8_sample_region_every_region(e8):
+    for k in range(241):
+        pts = sample_region(e8, k, 10, seed=k)
+        assert pts.shape == (10, 8)
+        assert np.all(regions_of(e8, pts) == k)
+
+
+def test_e8_sample_region_deterministic(e8):
+    for k in (0, 1, 240):
+        assert np.array_equal(sample_region(e8, k, 50, seed=3),
+                              sample_region(e8, k, 50, seed=3))
+
+
+def test_e8_chunk_draw_count(e8, monkeypatch):
+    # one E8 training chunk at n=10: the rejection path drew ~850,000 points
+    drawn = []
+    ball = tessellation.sample_unit_ball
+
+    def counting(dim, count, seed):
+        pts = ball(dim, count, seed)
+        drawn.append(len(pts))
+        return pts
+
+    monkeypatch.setattr(tessellation, "sample_unit_ball", counting)
+    for k in range(241):
+        sample_region(e8, k, 10, derive_rng(0, 0, 0, k, 0))
+    assert sum(drawn) < 20_000
