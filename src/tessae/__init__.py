@@ -12,8 +12,7 @@ from .discrepancy import (gsw2_circular, gsw2_gradient, gsw2_value_and_grad, gw2
 from .experiments import (RateStudyResult, eq19_check, gap_study, rate_study_sw,
                           theorem6_check, variance_check)
 from .tessellation import (Tessellation, cvt_energy, e8_roots, e8_tessellation,
-                           kmeans_cvt, lloyd_cvt, region_of, regions_of,
-                           sample_region, sample_unit_ball)
+                           lloyd_cvt, regions_of, sample_region, sample_unit_ball)
 from .trainer import (MetricsLog, TrainConfig, build_tessellation,
                       train_baseline, train_twae, train_twae_regularized)
 

@@ -1,5 +1,5 @@
-"""Tessellations of the unit ball: CVT (Lloyd / streaming K-means) and the
-241-region E8 root-system scheme, plus uniform-ball and per-region sampling."""
+"""Tessellations of the unit ball: CVT (Lloyd) and the 241-region E8
+root-system scheme, plus uniform-ball and per-region sampling."""
 
 import functools
 import itertools
@@ -14,14 +14,12 @@ from .seeding import as_rng
 
 CVT = "CVT"
 E8 = "E8"
+# E8's Voronoi cell has volume 1, so (r/sqrt(2))^8 = vol(B^8)/241 = pi^4/(24*241)
+R_STAR = float(np.sqrt(2.0) * (np.pi ** 4 / (24 * 241)) ** (1 / 8))
 
 
 class DegenerateRegionError(RuntimeError):
     """Rejection sampling in a region accepted almost nothing."""
-
-
-class ShellCalibrationError(RuntimeError):
-    """Bisection for the E8 shell radius could not reach the target volume."""
 
 
 @dataclass(frozen=True)
@@ -112,11 +110,6 @@ def regions_of(tess, points):
     return np.argmin(d2, axis=1)
 
 
-def region_of(tess, point):
-    """Region index of a single point."""
-    return int(regions_of(tess, np.asarray(point, dtype=float)[None, :])[0])
-
-
 def cvt_energy(tess, mc_samples, seed):
     """Monte Carlo clustering energy: E_y[min_i ||y - g_i||^2], y uniform
     on the unit ball (density normalized to integrate to 1)."""
@@ -178,24 +171,6 @@ def lloyd_cvt(dim, m, mc_samples_per_iter=None, max_iters=100, energy_tol=1e-4, 
     # centroids of ball subsets stay strictly inside the ball
     tess = Tessellation(dim=dim, generators=gens, kind=CVT)
     return tess, {"energies": energies, "reseeds": reseeds}
-
-
-def kmeans_cvt(dim, m, total_draws, seed):
-    """Streaming K-means CVT: one uniform-ball draw at a time, moving the
-    nearest generator to the running mean of the draws it has claimed."""
-    if total_draws < 1000 * m:
-        raise ValueError("total_draws must be >= 1000*m")
-    rng = as_rng(seed)
-    gens = sample_unit_ball(dim, m, rng)
-    counts = np.zeros(m, dtype=np.int64)
-    draws = sample_unit_ball(dim, total_draws, rng)
-    for y in draws:
-        d2 = ((gens - y) ** 2).sum(axis=1)
-        i = int(np.argmin(d2))
-        j = counts[i]
-        gens[i] = (j * gens[i] + y) / (j + 1)
-        counts[i] = j + 1
-    return Tessellation(dim=dim, generators=gens, kind=CVT)
 
 
 def e8_roots():
@@ -261,86 +236,78 @@ def e8_frames():
     return frames
 
 
-def e8_tessellation(calibration_samples=1_000_000, seed=0):
+def e8_tessellation(seed=None):
     """241-region tessellation of the 8-ball: the origin plus the 240 E8
-    root directions placed on a shell of radius r*.
+    root directions placed on a shell of radius R_STAR.
 
-    r* is found by bisection on a fixed Monte Carlo pool so that the
-    volume fraction of the center region equals 1/241 (relative
-    tolerance 1%); by the symmetry of the root system the 240 outer
-    regions then share the remaining volume equally.
+    The centre region is the E8 Voronoi cell scaled by R_STAR/sqrt(2), which
+    holds exactly 1/241 of the ball's volume; by the symmetry of the root
+    system the 240 outer regions share the rest equally.  seed is accepted
+    and ignored: the construction draws nothing.
     """
-    if calibration_samples < 1_000_000:
-        raise ValueError("calibration_samples must be >= 1e6")
-    units = e8_roots() / np.sqrt(2.0)
-    pool = sample_unit_ball(8, calibration_samples, seed)
-    # point x belongs to the center iff ||x||^2 < ||x - r u||^2 for all
-    # shell directions u, i.e. iff r > 2 max_u (x . u)
-    thresh = np.empty(calibration_samples)
-    step = 65536
-    for lo in range(0, calibration_samples, step):
-        chunk = pool[lo:lo + step]
-        thresh[lo:lo + step] = 2.0 * (chunk @ units.T).max(axis=1)
-    target = 1.0 / 241.0
+    return Tessellation(dim=8, generators=e8_generators(R_STAR), kind=E8,
+                        shell_radius=R_STAR)
 
-    def frac(r):
-        return float((thresh < r).mean())
 
-    lo, hi = 1e-3, 1.0
-    f_lo, f_hi = frac(lo), frac(hi)
-    if not (f_lo < target < f_hi):
-        raise ShellCalibrationError(
-            f"cannot bracket target fraction {target:.6f}: achieved range [{f_lo:.6f}, {f_hi:.6f}]")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f = frac(mid)
-        if abs(f - target) <= 0.01 * target:
-            lo = hi = mid
-            break
-        if f < target:
-            lo = mid
-        else:
-            hi = mid
-    r_star = 0.5 * (lo + hi)
-    f_final = frac(r_star)
-    if abs(f_final - target) > 0.01 * target:
-        raise ShellCalibrationError(
-            f"bisection stalled at fraction {f_final:.6f} (target {target:.6f})")
-    return Tessellation(dim=8, generators=e8_generators(r_star), kind=E8,
-                        shell_radius=r_star)
+def _d8_nearest(x):
+    """Nearest point of D8 (integer vectors, even sum) to each row of x:
+    round every coordinate, and where the sum is odd re-round the coordinate
+    farthest from its integer the other way."""
+    f = np.round(x)
+    odd = np.flatnonzero(f.sum(axis=1) % 2)
+    worst = np.abs(x[odd] - f[odd]).argmax(axis=1)
+    step = np.where(x[odd, worst] >= f[odd, worst], 1.0, -1.0)
+    f[odd, worst] += step
+    return f
+
+
+def e8_nearest(x):
+    """Nearest E8 lattice point (minimal norm sqrt(2)) to each row of x: the
+    closer of the nearest D8 and the nearest D8 + 1/2 point."""
+    a = _d8_nearest(x)
+    b = _d8_nearest(x - 0.5) + 0.5
+    closer_b = ((x - b) ** 2).sum(axis=1) < ((x - a) ** 2).sum(axis=1)
+    return np.where(closer_b[:, None], b, a)
 
 
 def sample_region(tess, region_index, count, seed):
-    """count i.i.d. points uniform on one region: uniform-ball draws kept
-    where regions_of says region_index.
+    """count i.i.d. points uniform on one region, each checked by regions_of.
 
-    On an E8 tessellation an outer region k takes every draw outside the
-    centre: with Q_j = e8_frames()[j - 1], Q_k Q_j^T is in W(E8), which
-    permutes the generators and fixes the ball, so it carries region j onto
-    region k, preserving volume.  Mapped points are labelled again, so a
-    point that rounding puts across a face is dropped.  The centre and every
-    CVT region keep only the draws that land in them (acceptance ~1/m).
+    On an E8 tessellation the centre is its Voronoi cell scaled by
+    s = shell_radius/sqrt(2): x uniform on [0, 2)^8 minus its nearest E8
+    point is uniform on the cell, because 2Z^8 is a sublattice of E8.  An
+    outer region k takes every uniform-ball draw outside the centre: with
+    Q_j = e8_frames()[j - 1], Q_k Q_j^T is in W(E8), which permutes the
+    generators and fixes the ball, so it carries region j onto region k,
+    preserving volume.  Either way the points are labelled again, so a point
+    that rounding puts across a face is dropped.  A CVT region keeps only
+    the uniform-ball draws that land in it (acceptance ~1/m).
     Aborts if the observed acceptance drops below 1/(50 m) over a
     one-million-draw window.
     """
     m = tess.region_count
     if not 0 <= region_index < m:
         raise ValueError(f"region_index {region_index} out of range [0, {m})")
-    frames = e8_frames() if tess.kind == E8 and region_index > 0 else None
+    e8 = tess.kind == E8
+    frames = e8_frames() if e8 else None
     rng = as_rng(seed)
     out = []
     accepted = 0
     window_draws = 0
     window_accepts = 0
     while accepted < count:
-        chunk = count if m == 1 or frames is not None else min(count * m, 1_000_000)
-        pts = sample_unit_ball(tess.dim, chunk, rng)
-        if frames is not None:
-            labels = regions_of(tess, pts)
-            outer = labels > 0
-            # row i: Q_k (Q_j^T x_i), j its region
-            pts = (np.einsum("nij,ni->nj", frames[labels[outer] - 1], pts[outer])
-                   @ frames[region_index - 1].T)
+        chunk = count if m == 1 or e8 else min(count * m, 1_000_000)
+        if e8 and region_index == 0:
+            x = 2.0 * rng.random((chunk, 8))
+            pts = (x - e8_nearest(x)) * (tess.shell_radius / np.sqrt(2.0))
+        else:
+            pts = sample_unit_ball(tess.dim, chunk, rng)
+            if e8:
+                labels = regions_of(tess, pts)
+                outer = labels > 0
+                # row i: Q_k (Q_j^T x_i), j its region
+                pts = (np.einsum("nij,ni->nj", frames[labels[outer] - 1], pts[outer])
+                       @ frames[region_index - 1].T)
         keep = pts[regions_of(tess, pts) == region_index]
         out.append(keep)
         accepted += len(keep)

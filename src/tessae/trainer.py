@@ -86,7 +86,7 @@ def build_tessellation(config):
     if config.tessellation_kind == "E8":
         if config.latent_dim != 8 or config.m != 241:
             raise ValueError("E8 tessellation needs latent_dim=8 and m=241")
-        return e8_tessellation(seed=config.seed)
+        return e8_tessellation()
     tess, _ = lloyd_cvt(config.latent_dim, config.m, seed=config.seed)
     return tess
 

@@ -94,7 +94,7 @@ def test_criterion_07_e8():
     assert roots.shape == (240, 8)
     assert integer.sum() == 112 and (~integer).sum() == 128
     assert np.allclose((roots ** 2).sum(axis=1), 2.0)
-    tess = e8_tessellation(1_000_000, seed=0)
+    tess = e8_tessellation()
     audit = sample_unit_ball(8, 1_000_000, seed=123)
     fracs = np.bincount(regions_of(tess, audit), minlength=241) / 1_000_000
     rel = np.abs(fracs - 1 / 241) * 241

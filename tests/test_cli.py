@@ -197,6 +197,14 @@ def test_run_error_is_one_line_exit_2(tmp_path, monkeypatch, capsys):
     assert err == "error: TrainingAborted: non-finite loss at epoch 0 chunk 0 region 1\n"
 
 
+def test_unusable_out_is_one_line_exit_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["cvt", "--dim", "2", "--m", "3", "--out", str(blocker / "sub")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def gap_inputs(tmp_path):
     # 20 regions: run_gap's --count 200 holds exactly --n 10 per region
     save_checkpoint(init_params([2, 8], 2, seed=0), str(tmp_path / "ckpt"))
@@ -308,6 +316,10 @@ def test_gap_wrong_typed_json_is_one_line_exit_2(tmp_path, capsys, which, key, v
     (["rates", "--n-grid", ","], "n_grid must be nonempty and lie in [32, 8192]"),
     (["train", *SMALL_TRAIN, "--hidden", "64,x"],
      "--hidden must be comma-separated ints, got '64,x'"),
+    (["cvt", "--dim", "2", "--m", "3", "--energy-tol", "nan"], "--energy-tol must be >= 0, got nan"),
+    (["varcheck", "--step-scale", "nan"], "--step-scale must be finite, got nan"),
+    (["varcheck", "--dim", "0"], "--dim must be >= 1, got 0"),
+    (["train", "--count", "-5"], "--count must be >= 1, got -5"),
 ], ids=["train-epochs", "train-n-chunk", "train-projections", "cvt-max-iters",
         "gap-trials", "gap-n", "gap-projections", "varcheck-n", "varcheck-n-above-population",
         "ineq-trials", "train-dataset-below-chunk", "train-hidden-0", "train-hidden-negative",
@@ -315,7 +327,8 @@ def test_gap_wrong_typed_json_is_one_line_exit_2(tmp_path, capsys, which, key, v
         "ineq-n-points-not-divisible-by-8", "assign-bench-n-points-not-multiple",
         "assign-bench-n-points-0", "train-lambda-negative", "train-learning-rate-negative",
         "train-alpha-nan", "rates-n-grid-not-int",
-        "rates-n-grid-empty", "train-hidden-not-int"])
+        "rates-n-grid-empty", "train-hidden-not-int", "cvt-energy-tol-nan",
+        "varcheck-step-scale-nan", "varcheck-dim-0", "train-count-negative"])
 def test_bad_count_is_one_line_exit_2(tmp_path, capsys, argv, message):
     if argv[0] == "gap":
         gap_inputs(tmp_path)

@@ -7,15 +7,14 @@ from hypothesis import strategies as st
 
 from tessae import tessellation
 from tessae.seeding import derive_rng
-from tessae.tessellation import (Tessellation, cvt_energy, e8_frames, e8_generators,
-                                 e8_roots, e8_tessellation, kmeans_cvt, lloyd_cvt,
-                                 region_of, regions_of, sample_region,
-                                 sample_unit_ball)
+from tessae.tessellation import (R_STAR, Tessellation, cvt_energy, e8_frames,
+                                 e8_generators, e8_nearest, e8_roots, e8_tessellation,
+                                 lloyd_cvt, regions_of, sample_region, sample_unit_ball)
 
 
 @pytest.fixture(scope="module")
 def e8():
-    return e8_tessellation(1_000_000, seed=0)
+    return e8_tessellation()
 
 
 def test_sample_unit_ball_1d_symmetry():
@@ -51,16 +50,16 @@ def two_gen_1d():
 
 
 def test_region_of_nearest():
-    assert region_of(two_gen_1d(), [0.3]) == 1
+    assert regions_of(two_gen_1d(), [[0.3], [-0.2]]).tolist() == [1, 0]
 
 
 def test_region_of_tie_breaks_low():
-    assert region_of(two_gen_1d(), [0.0]) == 0
+    assert regions_of(two_gen_1d(), [[0.0]]).tolist() == [0]
 
 
 def test_region_of_dim_mismatch():
     with pytest.raises(ValueError):
-        region_of(two_gen_1d(), [0.1, 0.2])
+        regions_of(two_gen_1d(), [[0.1, 0.2]])
 
 
 def test_region_of_scale_equivariance():
@@ -113,34 +112,6 @@ def test_lloyd_pool_size_precondition():
         lloyd_cvt(2, 4, mc_samples_per_iter=100, seed=0)
 
 
-def test_kmeans_1d_two_generators():
-    tess = kmeans_cvt(1, 2, 200_000, seed=0)
-    gens = np.sort(tess.generators.ravel())
-    assert np.allclose(gens, [-0.5, 0.5], atol=0.05)
-
-
-def test_kmeans_single_generator_is_running_mean():
-    # the streaming update telescopes to the plain mean of all draws
-    tess = kmeans_cvt(2, 1, 2000, seed=5)
-    rng = np.random.default_rng(5)
-    _ = sample_unit_ball(2, 1, rng)  # the init draw
-    draws = sample_unit_ball(2, 2000, rng)
-    assert np.allclose(tess.generators[0], draws.mean(axis=0), atol=1e-9)
-
-
-def test_kmeans_energy_near_lloyd():
-    lloyd_tess, _ = lloyd_cvt(2, 8, seed=0)
-    km_tess = kmeans_cvt(2, 8, 100_000, seed=0)
-    e_lloyd = cvt_energy(lloyd_tess, 50_000, seed=9)
-    e_km = cvt_energy(km_tess, 50_000, seed=9)
-    assert e_km <= 1.10 * e_lloyd
-
-
-def test_kmeans_draw_precondition():
-    with pytest.raises(ValueError):
-        kmeans_cvt(1, 2, 1000, seed=0)
-
-
 def test_cvt_energy_analytic_disk():
     # E||y||^2 = 1/2 on the unit disk
     tess = Tessellation(dim=2, generators=np.zeros((1, 2)), kind="CVT")
@@ -190,8 +161,14 @@ def test_e8_roots_canonical_order():
 def test_e8_tessellation_structure(e8):
     assert e8.region_count == 241
     assert e8.kind == "E8"
-    assert region_of(e8, np.zeros(8)) == 0
-    assert 0 < e8.shell_radius < 1
+    assert regions_of(e8, np.zeros((1, 8))).tolist() == [0]
+    assert e8.shell_radius == R_STAR
+
+
+def test_e8_shell_radius_is_exact_and_seed_free():
+    assert e8_tessellation(seed=0).shell_radius == e8_tessellation(seed=3).shell_radius
+    # the centre is the unit-volume E8 cell scaled by R_STAR/sqrt(2); vol(B^8) = pi^4/24
+    assert (R_STAR / np.sqrt(2.0)) ** 8 / (np.pi ** 4 / 24) == pytest.approx(1 / 241, rel=1e-12)
 
 
 def test_e8_tessellation_center_volume(e8):
@@ -230,9 +207,42 @@ def test_e8_frames_are_weyl_elements():
         assert sorted(map(tuple, roots @ q.T)) == as_sorted
 
 
-def test_e8_calibration_precondition():
-    with pytest.raises(ValueError):
-        e8_tessellation(100_000, seed=0)
+def test_e8_nearest_is_the_closest_lattice_point():
+    x = derive_rng(0, 7).uniform(-3.0, 3.0, size=(20_000, 8))
+    p = e8_nearest(x)
+    # E8: all coordinates integers or all half-integers, with an even sum
+    twice = 2.0 * p
+    assert np.array_equal(twice, np.round(twice))
+    parity = twice % 2
+    assert np.all(np.all(parity == 0, axis=1) | np.all(parity == 1, axis=1))
+    assert np.all(p.sum(axis=1) % 2 == 0)
+    # the roots are E8's Voronoi-relevant vectors, so p is nearest iff no
+    # p + root is closer: ||x - p - r||^2 < ||x - p||^2 iff (x - p).r > 1
+    assert ((x - p) @ e8_roots().T).max() <= 1.0 + 1e-12
+
+
+def test_e8_centre_second_moment(e8):
+    # the E8 cell with unit volume has normalized second moment G = 929/12960,
+    # so the centre region (scaled by s) has E||x||^2 = 8 G s^2
+    pts = sample_region(e8, 0, 20_000, seed=5)
+    sq = (pts ** 2).sum(axis=1)
+    s = e8.shell_radius / np.sqrt(2.0)
+    assert abs(sq.mean() - 8 * 929 / 12960 * s ** 2) <= 5 * sq.std() / np.sqrt(len(sq))
+
+
+def test_e8_centre_labels_few_rows(e8, monkeypatch):
+    # by rejection, 4000 centre points labelled about 964,000 draws
+    labelled = []
+    label = tessellation.regions_of
+
+    def counting(tess, points):
+        labelled.append(len(points))
+        return label(tess, points)
+
+    monkeypatch.setattr(tessellation, "regions_of", counting)
+    pts = sample_region(e8, 0, 4000, seed=1)
+    assert pts.shape == (4000, 8)
+    assert sum(labelled) <= 2 * 4000
 
 
 def test_sample_region_predicate():
