@@ -79,7 +79,7 @@ def _forward(layers, x, stack):
     last = len(layers) - 1
     for idx, (w, b) in enumerate(layers):
         z = acts[-1] @ w + b
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             raise ForwardNumericalError(stack, idx)
         pres.append(z)
         acts.append(z if idx == last else np.maximum(z, 0.0))

@@ -63,6 +63,9 @@ class Dataset:
 def gen_gaussian_ring(modes, radius, sigma, count, seed):
     """Equal-weight mixture of `modes` isotropic 2-D Gaussians centered on
     a ring of the given radius; labels carry the mode index."""
+    for name, value in (("radius", radius), ("sigma", sigma)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if modes < 1 or sigma <= 0:
         raise ValueError("modes >= 1 and sigma > 0 required")
     rng = as_rng(seed)

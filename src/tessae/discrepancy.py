@@ -65,13 +65,31 @@ def directions(dim, count, rng):
 
 
 def sorted_projections(a, dirs):
-    """a projected on the rows of dirs, each column sorted: shape (len(a), len(dirs))."""
-    return np.sort(a @ dirs.T, axis=0)
+    """a projected on the rows of dirs, each row sorted: shape (len(dirs), len(a)).
+
+    The values are those of a @ dirs.T, copied transposed so that each
+    sort runs along the contiguous axis."""
+    p = (a @ dirs.T).T.copy()
+    p.sort()
+    return p
+
+
+def sq_diff_mean(p, q, out):
+    """mean((p - q) ** 2) of two (L, n) sorted projections, bit-equal to the
+    mean over their (n, L) transposes: np.mean sums in memory order, so the
+    squares are copied transposed into out first.  p is overwritten with
+    the squares; out is an (L, n) array that may be q but not p."""
+    np.subtract(p, q, out=p)
+    np.square(p, out=p)
+    flat = out.reshape(p.shape[::-1])
+    np.copyto(flat, p.T)
+    return float(flat.mean())
 
 
 def sw2_projected(a, b, dirs):
     """Mean 1-D sorted squared W2 of a and b projected on the rows of dirs."""
-    return float(((sorted_projections(a, dirs) - sorted_projections(b, dirs)) ** 2).mean())
+    pa, pb = sorted_projections(a, dirs), sorted_projections(b, dirs)
+    return sq_diff_mean(pa, pb, pb)
 
 
 def sw2(a, b, num_projections=1000, seed=0):

@@ -320,6 +320,9 @@ def test_gap_wrong_typed_json_is_one_line_exit_2(tmp_path, capsys, which, key, v
     (["varcheck", "--step-scale", "nan"], "--step-scale must be finite, got nan"),
     (["varcheck", "--dim", "0"], "--dim must be >= 1, got 0"),
     (["train", "--count", "-5"], "--count must be >= 1, got -5"),
+    (["rates", "--dim", "0"], "dim must be >= 1"),
+    (["train", *SMALL_TRAIN, "--radius", "nan"], "radius must be finite, got nan"),
+    (["train", *SMALL_TRAIN, "--sigma", "inf"], "sigma must be finite, got inf"),
 ], ids=["train-epochs", "train-n-chunk", "train-projections", "cvt-max-iters",
         "gap-trials", "gap-n", "gap-projections", "varcheck-n", "varcheck-n-above-population",
         "ineq-trials", "train-dataset-below-chunk", "train-hidden-0", "train-hidden-negative",
@@ -328,7 +331,8 @@ def test_gap_wrong_typed_json_is_one_line_exit_2(tmp_path, capsys, which, key, v
         "assign-bench-n-points-0", "train-lambda-negative", "train-learning-rate-negative",
         "train-alpha-nan", "rates-n-grid-not-int",
         "rates-n-grid-empty", "train-hidden-not-int", "cvt-energy-tol-nan",
-        "varcheck-step-scale-nan", "varcheck-dim-0", "train-count-negative"])
+        "varcheck-step-scale-nan", "varcheck-dim-0", "train-count-negative",
+        "rates-dim-0", "train-radius-nan", "train-sigma-inf"])
 def test_bad_count_is_one_line_exit_2(tmp_path, capsys, argv, message):
     if argv[0] == "gap":
         gap_inputs(tmp_path)

@@ -126,3 +126,13 @@ def test_downscale_divisibility():
     ds = Dataset(points=np.zeros((1, 9)))
     with pytest.raises(ValueError):
         downscale(ds, 2)
+
+
+@pytest.mark.parametrize("radius, sigma, message", [
+    (float("nan"), 0.1, "radius must be finite, got nan"),
+    (1.0, float("inf"), "sigma must be finite, got inf"),
+    (1.0, float("nan"), "sigma must be finite, got nan"),
+])
+def test_ring_rejects_non_finite_radius_or_sigma(radius, sigma, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        gen_gaussian_ring(8, radius, sigma, 10, seed=0)

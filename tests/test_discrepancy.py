@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tessae.discrepancy import (default_pivot_radius, gsw2_circular, gsw2_gradient,
-                                gsw2_value_and_grad, gw2, gw2_gradient, max_sw2,
-                                maxsw2_gradient, sw2, sw2_gradient, w2_1d_sorted,
+from tessae.discrepancy import (default_pivot_radius, directions, gsw2_circular,
+                                gsw2_gradient, gsw2_value_and_grad, gw2, gw2_gradient,
+                                max_sw2, maxsw2_gradient, sorted_projections, sw2,
+                                sw2_gradient, sw2_projected, w2_1d_sorted,
                                 wasserstein_exact)
 
 
@@ -287,3 +288,18 @@ def test_sw2_nonnegative_and_symmetric(pair, num_projections, seed):
     value = sw2(a, b, num_projections, seed)
     assert value >= 0.0
     assert value == sw2(b, a, num_projections, seed)
+
+
+@pytest.mark.parametrize("n, num_projections, dim", [(10, 64, 2), (1000, 256, 2), (2410, 256, 8)])
+def test_sw2_projected_bit_equals_axis0_formula(n, num_projections, dim):
+    # the (L, n) layout must change no bit: projections are a @ dirs.T
+    # (dirs @ a.T differs in the last bits at d >= 8), and the mean is
+    # summed in (n, L) order (np.mean's pairwise sum follows memory order);
+    # at each shape some of the four seeds tell the two summation orders apart
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        a, b = rng.standard_normal((n, dim)), rng.random((n, dim))
+        dirs = directions(dim, num_projections, rng)
+        pa, pb = np.sort(a @ dirs.T, axis=0), np.sort(b @ dirs.T, axis=0)
+        assert np.array_equal(sorted_projections(a, dirs), pa.T)
+        assert sw2_projected(a, b, dirs) == float(((pa - pb) ** 2).mean())

@@ -5,10 +5,10 @@ import pytest
 
 import tessae.experiments
 from tessae.autoencoder import init_params
-from tessae.data import gen_gaussian_ring
+from tessae.data import gen_gaussian_ring, gen_uniform_ball_dataset
 from tessae.experiments import (eq19_check, gap_study, rate_study_sw,
                                 theorem6_check, variance_check)
-from tessae.tessellation import lloyd_cvt, sample_unit_ball
+from tessae.tessellation import e8_tessellation, lloyd_cvt, sample_unit_ball
 
 
 def test_eq19_m1_equality():
@@ -26,6 +26,13 @@ def test_eq19_singleton_regions():
 def test_eq19_random_instances():
     res = eq19_check(128, 4, 2, trials=20, seed=2)
     assert res["violations"] == 0
+
+
+def test_eq19_nan_margin_is_a_violation(monkeypatch):
+    monkeypatch.setattr(tessae.experiments, "wasserstein_exact",
+                        lambda a, b: (float("nan"), np.arange(len(a))))
+    res = eq19_check(8, 2, 2, trials=3, seed=0)
+    assert res["violations"] == 3 and not res["passed"]
 
 
 def test_eq19_preconditions():
@@ -182,3 +189,13 @@ def test_gap_study_pinned():
     values += [res["global"], res["global_baseline"], res["mean_gap"]]
     assert hashlib.sha256(np.array(values, dtype="<f8").tobytes()).hexdigest() == \
         "605a0f0bc4e1005c86efd29a23ca7f22ed861eaa554923dd186e902234fa26c9"
+
+
+def test_gap_study_e8_pinned():
+    # the d=2 pin above in 8 latent dimensions over the 241 E8 regions
+    res = gap_study(init_params([16, 32], 8, seed=0), e8_tessellation(),
+                    gen_uniform_ball_dataset(16, 482, seed=0), n=2, trials=8, seed=0)
+    values = [v for r in res["regions"] for v in (r["sw2"], r["baseline"])]
+    values += [res["global"], res["global_baseline"], res["mean_gap"]]
+    assert hashlib.sha256(np.array(values, dtype="<f8").tobytes()).hexdigest() == \
+        "66a0330a10aee1deea72a348729486ea55bfc699e9abeaabae9f23c04e4dd939"
