@@ -1,6 +1,7 @@
 """Hand-rolled fully-connected auto-encoder: forward/backward passes,
 composite reconstruction + latent-discrepancy loss, and Adam."""
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -20,16 +21,21 @@ class ForwardNumericalError(RuntimeError):
         self.layer = layer
 
 
+@functools.lru_cache(maxsize=None)
 def _layer_shapes(layer_sizes, latent_dim):
-    """(fan_in, fan_out) of every layer in the flat order, encoder then
-    mirrored decoder, and the number of values they hold."""
+    """For the layer_sizes tuple: ((fan_in, fan_out), W offset, b offset,
+    b end) of every layer in the flat order, encoder then mirrored decoder,
+    and the number of values they hold."""
     if not layer_sizes or min(layer_sizes) < 1 or latent_dim < 1:
         raise ValueError(f"layer_sizes nonempty with widths >= 1 and latent_dim >= 1 required, "
                          f"got {list(layer_sizes)} and {latent_dim}")
     dims = list(layer_sizes) + [latent_dim]
     dims += dims[-2::-1]
-    shapes = list(zip(dims[:-1], dims[1:]))
-    return shapes, sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes)
+    layout, end = [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        start, end = end, end + fan_in * fan_out + fan_out
+        layout.append(((fan_in, fan_out), start, end - fan_out, end))
+    return tuple(layout), end
 
 
 @dataclass
@@ -46,12 +52,12 @@ class AutoEncoderParams:
 
     def __post_init__(self):
         self.flat = np.asarray(self.flat, dtype=np.float64)
-        shapes, size = _layer_shapes(self.layer_sizes, self.latent_dim)
+        layout, size = _layer_shapes(tuple(self.layer_sizes), self.latent_dim)
         if self.flat.shape != (size,):
             raise ValueError(f"parameter vector of shape {self.flat.shape}; "
                              f"the layers need ({size},)")
-        parts = np.split(self.flat, np.cumsum([n for i, o in shapes for n in (i * o, o)])[:-1])
-        layers = [(w.reshape(shape), b) for shape, w, b in zip(shapes, parts[::2], parts[1::2])]
+        flat = self.flat
+        layers = [(flat[w:b].reshape(shape), flat[b:end]) for shape, w, b, end in layout]
         self.encoder, self.decoder = layers[:len(layers) // 2], layers[len(layers) // 2:]
 
     def copy(self):
@@ -66,7 +72,7 @@ def init_params(layer_sizes, latent_dim, seed):
     2-4-2 decoder.  Weights ~ N(0, 2/fan_in), biases zero.
     """
     rng = as_rng(seed)
-    params = AutoEncoderParams(np.zeros(_layer_shapes(layer_sizes, latent_dim)[1]),
+    params = AutoEncoderParams(np.zeros(_layer_shapes(tuple(layer_sizes), latent_dim)[1]),
                                latent_dim, list(layer_sizes))
     for w, _ in params.encoder + params.decoder:
         w[...] = rng.standard_normal(w.shape) * np.sqrt(2.0 / w.shape[0])
@@ -86,17 +92,19 @@ def _forward(layers, x, stack):
     return acts, pres
 
 
-def _backward(layers, acts, pres, dout):
-    """dout is dL/d(output); returns (per-layer grads, dL/d(input))."""
-    grads = [None] * len(layers)
+def _backward(layers, acts, pres, dout, grads):
+    """dout is dL/d(output); writes each layer's (dW, db) into the (W, b)
+    views of grads and returns dL/d(input)."""
     delta = dout
     last = len(layers) - 1
     for idx in range(last, -1, -1):
         w, _ = layers[idx]
+        gw, gb = grads[idx]
         dz = delta if idx == last else delta * (pres[idx] > 0)
-        grads[idx] = (acts[idx].T @ dz, dz.sum(axis=0))
+        np.matmul(acts[idx].T, dz, out=gw)
+        dz.sum(axis=0, out=gb)
         delta = dz @ w.T
-    return grads, delta
+    return delta
 
 
 def encode(params, x):
@@ -130,7 +138,7 @@ def loss_and_grad(params, batch_x, prior_batch, lam, estimator="SW",
     loss = (1/n) sum ||x - dec(enc(x))||^2
            + lam * estimator^2(enc(batch_x), prior_batch)
 
-    Returns (recon_loss, latent_loss, grad), grad one float64 vector laid
+    Returns (recon_loss, latent_loss, grad), grad a new float64 vector laid
     out like params.flat.
     """
     batch_x = np.asarray(batch_x, dtype=float)
@@ -151,11 +159,12 @@ def loss_and_grad(params, batch_x, prior_batch, lam, estimator="SW",
     xhat = dec_acts[-1]
     recon = float(((batch_x - xhat) ** 2).sum() / n)
     dxhat = (2.0 / n) * (xhat - batch_x)
-    dec_grads, dz_recon = _backward(params.decoder, dec_acts, dec_pres, dxhat)
-    enc_grads, _ = _backward(params.encoder, enc_acts, enc_pres,
-                             dz_recon + lam * dz_latent)
-    return recon, latent, np.concatenate([arr.ravel() for layer in enc_grads + dec_grads
-                                          for arr in layer])
+    # each layer's gradient goes straight into its views of one vector, new
+    # per call because the regularized trainer keeps a gradient across steps
+    grad = AutoEncoderParams(np.empty_like(params.flat), params.latent_dim, params.layer_sizes)
+    dz_recon = _backward(params.decoder, dec_acts, dec_pres, dxhat, grad.decoder)
+    _backward(params.encoder, enc_acts, enc_pres, dz_recon + lam * dz_latent, grad.encoder)
+    return recon, latent, grad.flat
 
 
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decay rates and floor
@@ -175,13 +184,26 @@ class AdamState:
 
 def adam_step(params, state, grad):
     """One Adam update with bias correction on a gradient vector laid out
-    like params.flat; returns (new params, state)."""
+    like params.flat; returns (new params, state).  The moments are updated
+    in place; the new params hold a new vector."""
     state.step += 1
     t = state.step
     scale = state.lr * np.sqrt(1.0 - _BETA2 ** t) / (1.0 - _BETA1 ** t)
-    state.m = _BETA1 * state.m + (1 - _BETA1) * grad
-    state.v = _BETA2 * state.v + (1 - _BETA2) * grad * grad
-    flat = params.flat - scale * state.m / (np.sqrt(state.v) + _EPS)
+    m, v = state.m, state.v
+    # m = b1 m + (1 - b1) g and v = b2 v + ((1 - b2) g) g, in that rounding order
+    tmp = np.multiply(1 - _BETA1, grad)
+    m *= _BETA1
+    m += tmp
+    np.multiply(1 - _BETA2, grad, out=tmp)
+    tmp *= grad
+    v *= _BETA2
+    v += tmp
+    # flat - (scale m) / (sqrt(v) + eps)
+    np.multiply(scale, m, out=tmp)
+    flat = np.sqrt(v)
+    flat += _EPS
+    tmp /= flat
+    np.subtract(params.flat, tmp, out=flat)
     return AutoEncoderParams(flat, params.latent_dim, list(params.layer_sizes)), state
 
 
@@ -219,7 +241,7 @@ def load_checkpoint(path_prefix):
     if type(latent_dim) is not int:
         raise ValueError(f"{where}: 'latent_dim' must be an int, got {latent_dim!r}")
     blob = np.fromfile(f"{path_prefix}.bin", dtype="<f8")
-    size = _layer_shapes(layer_sizes, latent_dim)[1]
+    size = _layer_shapes(tuple(layer_sizes), latent_dim)[1]
     if blob.size != size:
         raise ValueError(f"checkpoint blob has {blob.size} values; layer_sizes "
                          f"{layer_sizes} and latent_dim {latent_dim} need {size}")

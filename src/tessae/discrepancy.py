@@ -117,8 +117,22 @@ def sw2_gradient(a, b, num_projections=1000, seed=0):
     matchings of the paired sw2 call."""
     a, b = _check_pair(a, b)
     dirs = directions(a.shape[1], num_projections, as_rng(seed))
-    _, coeff = _matched_diffs(a @ dirs.T, b @ dirs.T)
-    return (2.0 / (len(a) * num_projections)) * (coeff @ dirs)
+    # _matched_diffs on the (L, n) transposes, so that the sorts, gathers
+    # and scatter run along the contiguous axis; each row's stable argsort
+    # is offset to flat indices
+    pa, pb = (a @ dirs.T).T.copy(), (b @ dirs.T).T.copy()
+    offsets = np.arange(0, pa.size, pa.shape[1])[:, None]
+    ia = np.argsort(pa, kind="stable")
+    ia += offsets
+    ib = np.argsort(pb, kind="stable")
+    ib += offsets
+    diff = pa.take(ia)
+    diff -= pb.take(ib)
+    coeff = pa  # ia covers every entry, so the scatter overwrites all of pa
+    coeff.put(ia, diff)
+    # the product takes coeff C-contiguous (n, L), as before: the transposed
+    # view would round differently
+    return (2.0 / (len(a) * num_projections)) * (coeff.T.copy() @ dirs)
 
 
 def _matched_1d(a, b, w):

@@ -16,6 +16,9 @@ CVT = "CVT"
 E8 = "E8"
 # E8's Voronoi cell has volume 1, so (r/sqrt(2))^8 = vol(B^8)/241 = pi^4/(24*241)
 R_STAR = float(np.sqrt(2.0) * (np.pi ** 4 / (24 * 241)) ** (1 / 8))
+# sample_region labels its draws in row blocks of at most this many
+# (row, generator) distances, 8 MB of float64
+LABEL_BLOCK = 1 << 20
 
 
 class DegenerateRegionError(RuntimeError):
@@ -270,6 +273,14 @@ def e8_nearest(x):
     return np.where(closer_b[:, None], b, a)
 
 
+def _block_regions(tess, pts):
+    """regions_of(tess, pts), computed LABEL_BLOCK distances at a time."""
+    rows = max(1, LABEL_BLOCK // tess.region_count)
+    if len(pts) <= rows:
+        return regions_of(tess, pts)
+    return np.concatenate([regions_of(tess, pts[i:i + rows]) for i in range(0, len(pts), rows)])
+
+
 def sample_region(tess, region_index, count, seed):
     """count i.i.d. points uniform on one region, each checked by regions_of.
 
@@ -281,7 +292,8 @@ def sample_region(tess, region_index, count, seed):
     generators and fixes the ball, so it carries region j onto region k,
     preserving volume.  Either way the points are labelled again, so a point
     that rounding puts across a face is dropped.  A CVT region keeps only
-    the uniform-ball draws that land in it (acceptance ~1/m).
+    the uniform-ball draws that land in it (acceptance ~1/m); a round of up
+    to one million draws is labelled LABEL_BLOCK distances at a time.
     Aborts if the observed acceptance drops below 1/(50 m) over a
     one-million-draw window.
     """
@@ -303,12 +315,12 @@ def sample_region(tess, region_index, count, seed):
         else:
             pts = sample_unit_ball(tess.dim, chunk, rng)
             if e8:
-                labels = regions_of(tess, pts)
+                labels = _block_regions(tess, pts)
                 outer = labels > 0
                 # row i: Q_k (Q_j^T x_i), j its region
                 pts = (np.einsum("nij,ni->nj", frames[labels[outer] - 1], pts[outer])
                        @ frames[region_index - 1].T)
-        keep = pts[regions_of(tess, pts) == region_index]
+        keep = pts[_block_regions(tess, pts) == region_index]
         out.append(keep)
         accepted += len(keep)
         window_draws += chunk

@@ -131,10 +131,12 @@ def _tessellated_batches(config, tess, params, x_chunk, epoch, c):
     t0 = time.perf_counter()
     plan = lcm_assign(z, tess.generators, n)
     lcm_ms = (time.perf_counter() - t0) * 1e3
+    # region k's n rows, in chunk order, are rows k*n:(k+1)*n of grouped
+    grouped = x_chunk[np.argsort(plan.assignment, kind="stable")]
     order = derive_rng(config.seed, epoch, c, 0, _REGION_SHUFFLE).permutation(config.m)
     for step, k in enumerate(int(k) for k in order):
         prior = sample_region(tess, k, n, derive_rng(config.seed, epoch, c, step, _PRIOR))
-        yield k, x_chunk[plan.assignment == k], prior, lcm_ms
+        yield k, grouped[k * n:(k + 1) * n], prior, lcm_ms
 
 
 def _random_batches(config, tess, params, x_chunk, epoch, c):

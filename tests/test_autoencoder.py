@@ -315,3 +315,37 @@ def test_checkpoint_manifest_without_layers_rejected(tmp_path):
         json.dump(manifest, fh)
     with pytest.raises(ValueError, match="layer_sizes nonempty"):
         load_checkpoint(prefix)
+
+
+def adam_expression_form(flat, m, v, grad, t, lr):
+    """One Adam step written as whole-array expressions."""
+    scale = lr * np.sqrt(1.0 - 0.999 ** t) / (1.0 - 0.9 ** t)
+    m = 0.9 * m + (1 - 0.9) * grad
+    v = 0.999 * v + (1 - 0.999) * grad * grad
+    return flat - scale * m / (np.sqrt(v) + 1e-8), m, v
+
+
+@pytest.mark.parametrize("lr", [1e-2, 0.0])
+def test_adam_in_place_matches_expression_form(lr):
+    p = init_params([3, 5], 2, seed=4)
+    state = AdamState.init(p, lr=lr)
+    flat, m, v = p.flat.copy(), np.zeros_like(p.flat), np.zeros_like(p.flat)
+    rng = np.random.default_rng(4)
+    for t in range(1, 51):
+        grad = rng.standard_normal(p.flat.shape) * 10.0 ** rng.integers(-6, 3)
+        grad[::7] = 0.0
+        p, state = adam_step(p, state, grad)
+        flat, m, v = adam_expression_form(flat, m, v, grad, t, lr)
+        assert p.flat.tobytes() == flat.tobytes()
+        assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+
+
+def test_loss_and_grad_returns_a_fresh_vector():
+    p = init_params([2, 4], 2, seed=8)
+    rng = np.random.default_rng(8)
+    x, prior = rng.standard_normal((12, 2)), rng.standard_normal((12, 2)) * 0.3
+    _, _, g1 = loss_and_grad(p, x, prior, 0.5, "SW", {"num_projections": 8}, seed=1)
+    _, _, g2 = loss_and_grad(p, x, prior, 0.5, "SW", {"num_projections": 8}, seed=1)
+    assert g1.tobytes() == g2.tobytes()
+    assert not np.shares_memory(g1, g2)
+    assert not np.shares_memory(g1, p.flat) and not np.shares_memory(g2, p.flat)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tessae.discrepancy import (default_pivot_radius, directions, gsw2_circular,
+from tessae.discrepancy import (_matched_diffs, default_pivot_radius, directions, gsw2_circular,
                                 gsw2_gradient, gsw2_value_and_grad, gw2, gw2_gradient,
                                 max_sw2, maxsw2_gradient, sorted_projections, sw2,
                                 sw2_gradient, sw2_projected, w2_1d_sorted,
@@ -303,3 +303,24 @@ def test_sw2_projected_bit_equals_axis0_formula(n, num_projections, dim):
         pa, pb = np.sort(a @ dirs.T, axis=0), np.sort(b @ dirs.T, axis=0)
         assert np.array_equal(sorted_projections(a, dirs), pa.T)
         assert sw2_projected(a, b, dirs) == float(((pa - pb) ** 2).mean())
+
+
+def matched_diffs_sw2_gradient(a, b, num_projections, seed):
+    """sw2_gradient in the (n, L) layout of _matched_diffs."""
+    dirs = directions(a.shape[1], num_projections, np.random.default_rng(seed))
+    _, coeff = _matched_diffs(a @ dirs.T, b @ dirs.T)
+    return (2.0 / (len(a) * num_projections)) * (coeff @ dirs)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8])
+@pytest.mark.parametrize("ties", [False, True])
+def test_sw2_gradient_equals_matched_diffs_formula(dim, ties):
+    rng = np.random.default_rng(dim)
+    a, b = rng.standard_normal((12, dim)), rng.standard_normal((12, dim))
+    if ties:  # duplicated rows project to exactly tied values
+        a[6:] = a[:6]
+        b[::3] = b[1]
+    for seed in range(5):
+        got = sw2_gradient(a, b, 64, seed=seed)
+        want = matched_diffs_sw2_gradient(a, b, 64, seed)
+        assert got.tobytes() == want.tobytes()

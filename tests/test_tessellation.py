@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,3 +355,55 @@ def test_e8_chunk_draw_count(e8, monkeypatch):
     for k in range(241):
         sample_region(e8, k, 10, derive_rng(0, 0, 0, k, 0))
     assert sum(drawn) < 20_000
+
+
+def hand_cvt(m, dim, seed):
+    g = sample_unit_ball(dim, m, np.random.default_rng(seed)) * 0.9
+    return Tessellation(dim=dim, generators=g, kind="CVT")
+
+
+@pytest.mark.parametrize("m, dim", [(20, 2), (200, 2), (50, 8), (30, 16), (241, 8)])
+def test_regions_of_on_blocks_equals_whole(m, dim):
+    tess = e8_tessellation() if m == 241 else hand_cvt(m, dim, seed=m + dim)
+    pts = sample_unit_ball(dim, 5000, seed=dim)
+    whole = regions_of(tess, pts)
+    for rows in (1, 7, 1000, 4999):
+        blocks = [regions_of(tess, pts[i:i + rows]) for i in range(0, len(pts), rows)]
+        assert np.array_equal(np.concatenate(blocks), whole)
+
+
+@pytest.mark.parametrize("block", [1, 1000, 40_000])
+def test_sample_region_draws_do_not_depend_on_label_block(monkeypatch, block):
+    tess = hand_cvt(200, 2, seed=0)
+    expected = sample_region(tess, 7, 200, seed=5)
+    monkeypatch.setattr(tessellation, "LABEL_BLOCK", block)
+    assert np.array_equal(sample_region(tess, 7, 200, seed=5), expected)
+
+
+def test_e8_and_ring_rounds_label_in_one_block(e8, monkeypatch):
+    labelled = []
+    label = tessellation.regions_of
+
+    def counting(tess, points):
+        labelled.append(len(points))
+        return label(tess, points)
+
+    monkeypatch.setattr(tessellation, "regions_of", counting)
+    sample_region(e8, 0, 4000, seed=1)  # the E8 centre labels count draws per round
+    assert set(labelled) == {4000}
+    labelled.clear()
+    sample_region(hand_cvt(20, 2, seed=1), 3, 50, seed=1)  # a gap-study region of the ring
+    assert set(labelled) == {1000}
+
+
+def test_sample_region_memory_is_bounded():
+    # one round at m=200, count=200 is 40,000 draws; labelled as one
+    # (40000, 200) matrix it peaked at about 120 MB
+    tess = hand_cvt(200, 2, seed=0)
+    tracemalloc.start()
+    try:
+        sample_region(tess, 7, 200, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2 ** 20
