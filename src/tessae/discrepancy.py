@@ -101,14 +101,20 @@ def sw2(a, b, num_projections=1000, seed=0):
 
 
 def _matched_diffs(pa, pb):
-    """Per column of the (n, L) projections: the sorted differences, and
-    the same differences placed back at a's rows.  Ties follow the stable
-    sort, which yields the same sorted values as np.sort."""
-    ia = np.argsort(pa, axis=0, kind="stable")
-    ib = np.argsort(pb, axis=0, kind="stable")
-    diff = np.take_along_axis(pa, ia, axis=0) - np.take_along_axis(pb, ib, axis=0)
-    coeff = np.zeros_like(pa)
-    np.put_along_axis(coeff, ia, diff, axis=0)
+    """Per row of the C-contiguous (L, n) projections: the sorted
+    differences, and the same differences placed back at a's columns.  Ties
+    follow the stable sort, which yields the same sorted values as np.sort.
+    Each row's argsort is offset to flat indices, so the gathers and the
+    scatter run along the contiguous axis."""
+    offsets = np.arange(0, pa.size, pa.shape[1])[:, None]
+    ia = np.argsort(pa, kind="stable")
+    ia += offsets
+    ib = np.argsort(pb, kind="stable")
+    ib += offsets
+    diff = pa.take(ia)
+    diff -= pb.take(ib)
+    coeff = np.empty_like(pa)
+    coeff.put(ia, diff)
     return diff, coeff
 
 
@@ -117,21 +123,9 @@ def sw2_gradient(a, b, num_projections=1000, seed=0):
     matchings of the paired sw2 call."""
     a, b = _check_pair(a, b)
     dirs = directions(a.shape[1], num_projections, as_rng(seed))
-    # _matched_diffs on the (L, n) transposes, so that the sorts, gathers
-    # and scatter run along the contiguous axis; each row's stable argsort
-    # is offset to flat indices
-    pa, pb = (a @ dirs.T).T.copy(), (b @ dirs.T).T.copy()
-    offsets = np.arange(0, pa.size, pa.shape[1])[:, None]
-    ia = np.argsort(pa, kind="stable")
-    ia += offsets
-    ib = np.argsort(pb, kind="stable")
-    ib += offsets
-    diff = pa.take(ia)
-    diff -= pb.take(ib)
-    coeff = pa  # ia covers every entry, so the scatter overwrites all of pa
-    coeff.put(ia, diff)
-    # the product takes coeff C-contiguous (n, L), as before: the transposed
-    # view would round differently
+    _, coeff = _matched_diffs((a @ dirs.T).T.copy(), (b @ dirs.T).T.copy())
+    # the product takes coeff C-contiguous (n, L): the transposed view would
+    # round differently
     return (2.0 / (len(a) * num_projections)) * (coeff.T.copy() @ dirs)
 
 
@@ -218,11 +212,15 @@ def gsw2_value_and_grad(a, b, num_projections=1000, pivot_radius=None, seed=0):
     a, b = _check_pair(a, b)
     pivots = _gsw_pivots(a, b, num_projections, pivot_radius, seed)
     fa = _gsw_features(a, pivots)
-    diff, coeff = _matched_diffs(fa, _gsw_features(b, pivots))
+    diff, coeff = _matched_diffs(fa.T.copy(), _gsw_features(b, pivots).T.copy())
+    # the mean and the products take C-contiguous (n, L) arrays, as the
+    # sums run in memory order
+    np.square(diff, out=diff)
+    value = float(diff.T.copy().mean())
     # d feature / d a_i = (a_i - pivot_l) / fa[i, l]
-    c = (2.0 / (len(a) * num_projections)) * coeff / fa
+    c = (2.0 / (len(a) * num_projections)) * coeff.T.copy() / fa
     grad = c.sum(axis=1)[:, None] * a - c @ pivots
-    return float((diff ** 2).mean()), grad
+    return value, grad
 
 
 def gsw2_gradient(a, b, num_projections=1000, pivot_radius=None, seed=0):

@@ -16,7 +16,7 @@ CVT = "CVT"
 E8 = "E8"
 # E8's Voronoi cell has volume 1, so (r/sqrt(2))^8 = vol(B^8)/241 = pi^4/(24*241)
 R_STAR = float(np.sqrt(2.0) * (np.pi ** 4 / (24 * 241)) ** (1 / 8))
-# sample_region labels its draws in row blocks of at most this many
+# regions_of labels its points in row blocks of at most this many
 # (row, generator) distances, 8 MB of float64
 LABEL_BLOCK = 1 << 20
 
@@ -102,15 +102,22 @@ def sample_unit_ball(dim, count, seed):
 
 
 def regions_of(tess, points):
-    """Region index for every row of points (ties to the lowest index)."""
+    """Region index for every row of points (ties to the lowest index),
+    computed in row blocks of at most LABEL_BLOCK distances."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != tess.dim:
         raise ValueError(f"point dim {points.shape[1]} != tessellation dim {tess.dim}")
     g = tess.generators
     # ||p - g||^2 = ||p||^2 - 2 p.g + ||g||^2; ||p||^2 is constant per row.
     # Not sq_dists: adding the row term changes the rounding, hence ties
-    d2 = (g * g).sum(axis=1)[None, :] - 2.0 * points @ g.T
-    return np.argmin(d2, axis=1)
+    gg = (g * g).sum(axis=1)
+    rows = max(1, LABEL_BLOCK // len(g))
+    if len(points) <= rows:
+        return np.argmin(gg - 2.0 * points @ g.T, axis=1)
+    out = np.empty(len(points), dtype=np.intp)
+    for i in range(0, len(points), rows):
+        out[i:i + rows] = np.argmin(gg - 2.0 * points[i:i + rows] @ g.T, axis=1)
+    return out
 
 
 def cvt_energy(tess, mc_samples, seed):
@@ -176,9 +183,10 @@ def lloyd_cvt(dim, m, mc_samples_per_iter=None, max_iters=100, energy_tol=1e-4, 
     return tess, {"energies": energies, "reseeds": reseeds}
 
 
+@functools.cache
 def e8_roots():
     """The 240 minimal vectors of the E8 lattice, squared norm 2, in
-    ascending lexicographic order.
+    ascending lexicographic order; cached and read-only.
 
     112 of type (+-1, +-1, 0^6) and 128 of type (+-1/2)^8 with an even
     number of minus signs.
@@ -195,7 +203,9 @@ def e8_roots():
         if sum(s < 0 for s in signs) % 2 == 0:
             roots.append(np.array(signs))
     roots.sort(key=tuple)
-    return np.array(roots)
+    roots = np.array(roots)
+    roots.setflags(write=False)
+    return roots
 
 
 def e8_generators(shell_radius):
@@ -273,14 +283,6 @@ def e8_nearest(x):
     return np.where(closer_b[:, None], b, a)
 
 
-def _block_regions(tess, pts):
-    """regions_of(tess, pts), computed LABEL_BLOCK distances at a time."""
-    rows = max(1, LABEL_BLOCK // tess.region_count)
-    if len(pts) <= rows:
-        return regions_of(tess, pts)
-    return np.concatenate([regions_of(tess, pts[i:i + rows]) for i in range(0, len(pts), rows)])
-
-
 def sample_region(tess, region_index, count, seed):
     """count i.i.d. points uniform on one region, each checked by regions_of.
 
@@ -292,8 +294,7 @@ def sample_region(tess, region_index, count, seed):
     generators and fixes the ball, so it carries region j onto region k,
     preserving volume.  Either way the points are labelled again, so a point
     that rounding puts across a face is dropped.  A CVT region keeps only
-    the uniform-ball draws that land in it (acceptance ~1/m); a round of up
-    to one million draws is labelled LABEL_BLOCK distances at a time.
+    the uniform-ball draws that land in it (acceptance ~1/m).
     Aborts if the observed acceptance drops below 1/(50 m) over a
     one-million-draw window.
     """
@@ -315,12 +316,12 @@ def sample_region(tess, region_index, count, seed):
         else:
             pts = sample_unit_ball(tess.dim, chunk, rng)
             if e8:
-                labels = _block_regions(tess, pts)
+                labels = regions_of(tess, pts)
                 outer = labels > 0
                 # row i: Q_k (Q_j^T x_i), j its region
                 pts = (np.einsum("nij,ni->nj", frames[labels[outer] - 1], pts[outer])
                        @ frames[region_index - 1].T)
-        keep = pts[_block_regions(tess, pts) == region_index]
+        keep = pts[regions_of(tess, pts) == region_index]
         out.append(keep)
         accepted += len(keep)
         window_draws += chunk

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tessae.discrepancy import (_matched_diffs, default_pivot_radius, directions, gsw2_circular,
+from tessae.discrepancy import (_gsw_features, _gsw_pivots, default_pivot_radius, directions, gsw2_circular,
                                 gsw2_gradient, gsw2_value_and_grad, gw2, gw2_gradient,
                                 max_sw2, maxsw2_gradient, sorted_projections, sw2,
                                 sw2_gradient, sw2_projected, w2_1d_sorted,
@@ -305,22 +305,50 @@ def test_sw2_projected_bit_equals_axis0_formula(n, num_projections, dim):
         assert sw2_projected(a, b, dirs) == float(((pa - pb) ** 2).mean())
 
 
-def matched_diffs_sw2_gradient(a, b, num_projections, seed):
-    """sw2_gradient in the (n, L) layout of _matched_diffs."""
-    dirs = directions(a.shape[1], num_projections, np.random.default_rng(seed))
-    _, coeff = _matched_diffs(a @ dirs.T, b @ dirs.T)
-    return (2.0 / (len(a) * num_projections)) * (coeff @ dirs)
+def axis0_matched_diffs(pa, pb):
+    """The sorted and scattered differences by take_along_axis down the
+    columns of (n, L) projections: the reference for the flat-index
+    gathers along the rows of their (L, n) transposes."""
+    ia = np.argsort(pa, axis=0, kind="stable")
+    ib = np.argsort(pb, axis=0, kind="stable")
+    diff = np.take_along_axis(pa, ia, axis=0) - np.take_along_axis(pb, ib, axis=0)
+    coeff = np.zeros_like(pa)
+    np.put_along_axis(coeff, ia, diff, axis=0)
+    return diff, coeff
+
+
+def tied_pair(n, dim, ties):
+    rng = np.random.default_rng(dim)
+    a, b = rng.standard_normal((n, dim)), rng.standard_normal((n, dim))
+    if ties:  # duplicated rows project to exactly tied values
+        a[n // 2:] = a[:n // 2]
+        b[::3] = b[1]
+    return a, b
 
 
 @pytest.mark.parametrize("dim", [1, 2, 8])
 @pytest.mark.parametrize("ties", [False, True])
 def test_sw2_gradient_equals_matched_diffs_formula(dim, ties):
-    rng = np.random.default_rng(dim)
-    a, b = rng.standard_normal((12, dim)), rng.standard_normal((12, dim))
-    if ties:  # duplicated rows project to exactly tied values
-        a[6:] = a[:6]
-        b[::3] = b[1]
+    a, b = tied_pair(12, dim, ties)
     for seed in range(5):
-        got = sw2_gradient(a, b, 64, seed=seed)
-        want = matched_diffs_sw2_gradient(a, b, 64, seed)
-        assert got.tobytes() == want.tobytes()
+        dirs = directions(dim, 64, np.random.default_rng(seed))
+        _, coeff = axis0_matched_diffs(a @ dirs.T, b @ dirs.T)
+        want = (2.0 / (len(a) * 64)) * (coeff @ dirs)
+        assert sw2_gradient(a, b, 64, seed=seed).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [12, 600])
+@pytest.mark.parametrize("dim", [1, 2, 8])
+@pytest.mark.parametrize("ties", [False, True])
+def test_gsw2_value_and_grad_equals_matched_diffs_formula(n, dim, ties):
+    # at n=600 the products round differently on a transposed coefficient view
+    a, b = tied_pair(n, dim, ties)
+    for seed in range(5):
+        pivots = _gsw_pivots(a, b, 64, None, np.random.default_rng(seed))
+        fa = _gsw_features(a, pivots)
+        diff, coeff = axis0_matched_diffs(fa, _gsw_features(b, pivots))
+        c = (2.0 / (len(a) * 64)) * coeff / fa
+        grad = c.sum(axis=1)[:, None] * a - c @ pivots
+        value, got = gsw2_value_and_grad(a, b, 64, seed=seed)
+        assert value == float((diff ** 2).mean())
+        assert got.tobytes() == grad.tobytes()

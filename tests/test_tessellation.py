@@ -363,13 +363,14 @@ def hand_cvt(m, dim, seed):
 
 
 @pytest.mark.parametrize("m, dim", [(20, 2), (200, 2), (50, 8), (30, 16), (241, 8)])
-def test_regions_of_on_blocks_equals_whole(m, dim):
+def test_regions_of_on_blocks_equals_whole(monkeypatch, m, dim):
     tess = e8_tessellation() if m == 241 else hand_cvt(m, dim, seed=m + dim)
     pts = sample_unit_ball(dim, 5000, seed=dim)
-    whole = regions_of(tess, pts)
-    for rows in (1, 7, 1000, 4999):
-        blocks = [regions_of(tess, pts[i:i + rows]) for i in range(0, len(pts), rows)]
-        assert np.array_equal(np.concatenate(blocks), whole)
+    g = tess.generators
+    whole = np.argmin((g * g).sum(axis=1)[None, :] - 2.0 * pts @ g.T, axis=1)
+    for rows in (1, 7, 1000, 4999, 5000):
+        monkeypatch.setattr(tessellation, "LABEL_BLOCK", rows * m)
+        assert np.array_equal(regions_of(tess, pts), whole)
 
 
 @pytest.mark.parametrize("block", [1, 1000, 40_000])
@@ -391,9 +392,11 @@ def test_e8_and_ring_rounds_label_in_one_block(e8, monkeypatch):
     monkeypatch.setattr(tessellation, "regions_of", counting)
     sample_region(e8, 0, 4000, seed=1)  # the E8 centre labels count draws per round
     assert set(labelled) == {4000}
+    assert 4000 * 241 <= tessellation.LABEL_BLOCK
     labelled.clear()
     sample_region(hand_cvt(20, 2, seed=1), 3, 50, seed=1)  # a gap-study region of the ring
     assert set(labelled) == {1000}
+    assert 1000 * 20 <= tessellation.LABEL_BLOCK
 
 
 def test_sample_region_memory_is_bounded():
@@ -407,3 +410,10 @@ def test_sample_region_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 48 * 2 ** 20
+
+
+def test_e8_roots_are_one_read_only_table():
+    roots = e8_roots()
+    assert roots is e8_roots() and not roots.flags.writeable
+    with pytest.raises(ValueError):
+        roots[0, 0] = 0.0
