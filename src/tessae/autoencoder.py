@@ -80,39 +80,40 @@ def init_params(layer_sizes, latent_dim, seed):
 
 
 def _forward(layers, x, stack):
+    """The input and every layer's output, ReLU on all but the last."""
     acts = [np.asarray(x, dtype=float)]
-    pres = []
     last = len(layers) - 1
     for idx, (w, b) in enumerate(layers):
         z = acts[-1] @ w + b
         if not np.isfinite(z).all():
             raise ForwardNumericalError(stack, idx)
-        pres.append(z)
         acts.append(z if idx == last else np.maximum(z, 0.0))
-    return acts, pres
+    return acts
 
 
-def _backward(layers, acts, pres, dout, grads):
+def _backward(layers, acts, dout, grads):
     """dout is dL/d(output); writes each layer's (dW, db) into the (W, b)
-    views of grads and returns dL/d(input)."""
-    delta = dout
-    last = len(layers) - 1
-    for idx in range(last, -1, -1):
-        w, _ = layers[idx]
+    views of grads and returns dL/d(first layer's pre-activation).  A hidden
+    output is positive exactly where its finite pre-activation is."""
+    dz = dout
+    for idx in range(len(layers) - 1, -1, -1):
         gw, gb = grads[idx]
-        dz = delta if idx == last else delta * (pres[idx] > 0)
         np.matmul(acts[idx].T, dz, out=gw)
         dz.sum(axis=0, out=gb)
-        delta = dz @ w.T
-    return delta
+        if idx:
+            dz = (dz @ layers[idx][0].T) * (acts[idx] > 0)
+    return dz
 
 
 def encode(params, x):
-    return _forward(params.encoder, x, "encoder")[0][-1]
+    return _forward(params.encoder, x, "encoder")[-1]
 
 
 def decode(params, z):
-    return _forward(params.decoder, z, "decoder")[0][-1]
+    return _forward(params.decoder, z, "decoder")[-1]
+
+
+ESTIMATORS = ("SW", "GW", "MAXSW", "GSW")  # the latent discrepancies loss_and_grad knows
 
 
 def _latent_value_and_grad(z, prior, estimator, num_projections, seed):
@@ -147,7 +148,7 @@ def loss_and_grad(params, batch_x, prior_batch, lam, estimator="SW",
         raise ValueError("batch and prior batch sizes differ")
     n = len(batch_x)
 
-    enc_acts, enc_pres = _forward(params.encoder, batch_x, "encoder")
+    enc_acts = _forward(params.encoder, batch_x, "encoder")
     z = enc_acts[-1]
     if lam != 0.0:
         num_projections = (estimator_config or {}).get("num_projections", 1000)
@@ -155,15 +156,15 @@ def loss_and_grad(params, batch_x, prior_batch, lam, estimator="SW",
                                                    num_projections, seed)
     else:
         latent, dz_latent = 0.0, np.zeros_like(z)
-    dec_acts, dec_pres = _forward(params.decoder, z, "decoder")
+    dec_acts = _forward(params.decoder, z, "decoder")
     xhat = dec_acts[-1]
     recon = float(((batch_x - xhat) ** 2).sum() / n)
     dxhat = (2.0 / n) * (xhat - batch_x)
     # each layer's gradient goes straight into its views of one vector, new
     # per call because the regularized trainer keeps a gradient across steps
     grad = AutoEncoderParams(np.empty_like(params.flat), params.latent_dim, params.layer_sizes)
-    dz_recon = _backward(params.decoder, dec_acts, dec_pres, dxhat, grad.decoder)
-    _backward(params.encoder, enc_acts, enc_pres, dz_recon + lam * dz_latent, grad.encoder)
+    dz_recon = _backward(params.decoder, dec_acts, dxhat, grad.decoder) @ params.decoder[0][0].T
+    _backward(params.encoder, enc_acts, dz_recon + lam * dz_latent, grad.encoder)
     return recon, latent, grad.flat
 
 

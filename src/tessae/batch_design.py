@@ -22,6 +22,12 @@ class AssignmentPlan:
     def size(self):
         return len(self.assignment)
 
+    def grouped(self, rows):
+        """rows, one per assigned point, grouped by region: shape
+        (m, capacity, ...), region k's rows in their original order."""
+        return rows[np.argsort(self.assignment, kind="stable")].reshape(
+            -1, self.capacity, *rows.shape[1:])
+
 
 def sq_dists(a, b):
     """Squared Euclidean distances between the rows of a and of b, shape

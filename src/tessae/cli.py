@@ -17,8 +17,8 @@ from . import experiments as exp
 from .batch_design import lcm_assign, optimal_assign
 from .discrepancy import NumericalFailure
 from .seeding import derive_rng
-from .tessellation import DegenerateRegionError, Tessellation, e8_tessellation, lloyd_cvt
-from .trainer import (MetricsLog, TrainConfig, TrainingAborted, build_tessellation,
+from .tessellation import CVT, E8, DegenerateRegionError, Tessellation, e8_tessellation, lloyd_cvt
+from .trainer import (TrainConfig, TrainingAborted, build_tessellation, require_nonnegative,
                       train_baseline, train_twae, train_twae_regularized)
 
 
@@ -53,16 +53,15 @@ def _read_config_file(path):
     return flags
 
 
-# float flags that must be >= 0 -> their attribute in the parsed args
+# numeric flags that must be finite and >= 0 -> their attribute in the parsed args
 _NONNEGATIVE = {"--lambda": "lam", "--alpha": "alpha", "--learning-rate": "learning_rate",
-                "--energy-tol": "energy_tol"}
+                "--energy-tol": "energy_tol", "--seed": "seed"}
 
 
 def _check_nonnegative(args):
     for flag, name in _NONNEGATIVE.items():
-        value = getattr(args, name, None)
-        if value is not None and not value >= 0:  # also rejects NaN
-            raise ValueError(f"{flag} must be >= 0, got {value}")
+        if getattr(args, name, None) is not None:
+            require_nonnegative(flag, getattr(args, name))
 
 
 def _prepare_out(args):
@@ -84,12 +83,12 @@ def _load_dataset(args):
         return datamod.gen_gaussian_ring(args.modes, args.radius, args.sigma,
                                          args.count, args.seed)
     if args.dataset == "ball":
+        if args.data_dim < 1:
+            raise ValueError(f"--data-dim must be >= 1, got {args.data_dim}")
         return datamod.gen_uniform_ball_dataset(args.data_dim, args.count, args.seed)
-    if args.dataset == "idx":
-        if not args.idx_images:
-            raise ValueError("--idx-images required for --dataset idx")
-        return datamod.load_idx(args.idx_images, args.idx_labels)
-    raise ValueError(f"unknown dataset {args.dataset!r}")
+    if not args.idx_images:  # --dataset idx
+        raise ValueError("--idx-images required for --dataset idx")
+    return datamod.load_idx(args.idx_images, args.idx_labels)
 
 
 def _int_list(flag, text):
@@ -201,21 +200,19 @@ def cmd_assign_bench(args):
         raise ValueError(f"--n-points {args.n_points} is not a positive multiple of --m {args.m}")
     rng = derive_rng(args.seed, 0)
     points = rng.standard_normal((args.n_points, args.dim))
-    tess, _ = lloyd_cvt(args.dim, args.m, seed=args.seed) if args.dim <= 8 else (None, None)
-    if tess is None:
-        generators = rng.standard_normal((args.m, args.dim)) * 0.3
+    if args.dim <= 8:
+        generators = lloyd_cvt(args.dim, args.m, seed=args.seed)[0].generators
     else:
-        generators = tess.generators
+        generators = rng.standard_normal((args.m, args.dim)) * 0.3
     capacity = args.n_points // args.m
-    t0 = time.perf_counter()
-    plan = lcm_assign(points, generators, capacity)
-    lcm_s = time.perf_counter() - t0
-    rows = [["lcm", args.n_points, args.m, args.dim, lcm_s, plan.cost]]
-    if args.n_points <= 256:
+    solvers = [("lcm", lcm_assign)]
+    if args.n_points <= 256:  # the exact solver's limit
+        solvers.append(("optimal", optimal_assign))
+    rows = []
+    for name, solve in solvers:
         t0 = time.perf_counter()
-        opt = optimal_assign(points, generators, capacity)
-        rows.append(["optimal", args.n_points, args.m, args.dim,
-                     time.perf_counter() - t0, opt.cost])
+        plan = solve(points, generators, capacity)
+        rows.append([name, args.n_points, args.m, args.dim, time.perf_counter() - t0, plan.cost])
     exp.write_csv(os.path.join(args.out, "assign_bench.csv"),
                   ["method", "n_points", "m", "dim", "seconds", "cost"], rows)
     for row in rows:
@@ -263,11 +260,11 @@ def build_parser():
     sp.add_argument("--latent-dim", type=int, default=2)
     sp.add_argument("--hidden", default="64,64", help="comma-separated hidden widths")
     sp.add_argument("--lambda", dest="lam", type=float, default=None,
-                    help="latent weight; default 1 for SW, 0.01 for GW/GSW")
+                    help="latent weight; default 1 for SW, 0.01 for the others")
     sp.add_argument("--alpha", type=float, default=0.2)
-    sp.add_argument("--estimator", choices=["SW", "GW", "MAXSW", "GSW"], default="SW")
+    sp.add_argument("--estimator", choices=ae.ESTIMATORS, default="SW")
     sp.add_argument("--projections", type=int, default=1000)
-    sp.add_argument("--tessellation", choices=["CVT", "E8"], default="CVT")
+    sp.add_argument("--tessellation", choices=[CVT, E8], default=CVT)
     sp.add_argument("--learning-rate", type=float, default=1e-3)
 
     sp = add("gap", cmd_gap, help="per-region prior-matching gap study")
@@ -327,7 +324,7 @@ def main(argv=None):
     except CheckFailed as err:
         print(f"check failed: {err}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except _RUN_ERRORS as err:

@@ -199,11 +199,7 @@ def _gsw_features(x, pivots):
 def gsw2_circular(a, b, num_projections=1000, pivot_radius=None, seed=0):
     """Generalized sliced squared W2 with circular projections: the scalar
     feature is the distance to a pivot R*theta, theta uniform on the sphere."""
-    a, b = _check_pair(a, b)
-    pivots = _gsw_pivots(a, b, num_projections, pivot_radius, seed)
-    fa = np.sort(_gsw_features(a, pivots), axis=0)
-    fb = np.sort(_gsw_features(b, pivots), axis=0)
-    return float(((fa - fb) ** 2).mean())
+    return gsw2_value_and_grad(a, b, num_projections, pivot_radius, seed)[0]
 
 
 def gsw2_value_and_grad(a, b, num_projections=1000, pivot_radius=None, seed=0):

@@ -77,24 +77,19 @@ def rate_study_sw(dim, n_grid, trials, num_projections=1000, seed=0,
     if not n_grid or n_grid[0] < 32 or n_grid[-1] > 8192:
         raise ValueError("n_grid must be nonempty and lie in [32, 8192]")
     dirs = directions(dim, num_projections, derive_rng(seed, 0))
-
-    def draw_p(n, rng):
-        return rng.standard_normal((n, dim))
-
-    def draw_q(n, rng):
-        return sample_unit_ball(dim, n, rng)
-
     ref_rng = derive_rng(seed, 1)
-    reference = _sw2_shared_dirs(draw_p(ref_n, ref_rng), draw_q(ref_n, ref_rng), dirs)
+    reference = _sw2_shared_dirs(ref_rng.standard_normal((ref_n, dim)),
+                                 sample_unit_ball(dim, ref_n, ref_rng), dirs)
 
     stats1 = np.empty((len(n_grid), trials))
     stats2 = np.empty((len(n_grid), trials))
     for gi, n in enumerate(n_grid):
         for t in range(trials):
             rng = derive_rng(seed, 2, gi, t)
-            stats1[gi, t] = abs(_sw2_shared_dirs(draw_p(n, rng), draw_q(n, rng), dirs)
-                                - reference)
-            stats2[gi, t] = _sw2_shared_dirs(draw_p(n, rng), draw_p(n, rng), dirs)
+            stats1[gi, t] = abs(_sw2_shared_dirs(rng.standard_normal((n, dim)),
+                                                 sample_unit_ball(dim, n, rng), dirs) - reference)
+            stats2[gi, t] = _sw2_shared_dirs(rng.standard_normal((n, dim)),
+                                             rng.standard_normal((n, dim)), dirs)
 
     results = []
     for stats in (stats1, stats2):
@@ -138,9 +133,8 @@ def eq19_check(n_points, m, dim, trials, seed=0, out_csv=None):
         # prior points cluster by nearest region, rebalanced to capacity
         # by the exact capacity-constrained assigner
         pri_plan = optimal_assign(prior_pts, generators, n)
-        rhs = np.mean([wasserstein_exact(prior_pts[pri_plan.assignment == j],
-                                         encoded[enc_plan.assignment == j])[0]
-                       for j in range(m)])
+        rhs = np.mean([wasserstein_exact(p, e)[0] for p, e in
+                       zip(pri_plan.grouped(prior_pts), enc_plan.grouped(encoded))])
         margins.append(float(rhs - lhs))
     margins = np.array(margins)
     violations = int((~(margins >= -1e-9)).sum())  # a NaN margin is one too
@@ -252,8 +246,8 @@ def gap_study(params, tess, dataset, n, trials=4, num_projections=256,
     z = encode(params, dataset.points[:use])
     plan = lcm_assign(z, tess.generators, n)
     # each region, then the whole ball: points, prior sampler, stream keys
-    parts = [(z[plan.assignment == j], partial(sample_region, tess, j, n), (40, j), (41, j))
-             for j in range(m)]
+    parts = [(x, partial(sample_region, tess, j, n), (40, j), (41, j))
+             for j, x in enumerate(plan.grouped(z))]
     parts.append((z, partial(sample_unit_ball, tess.dim, use), (42,), (43,)))
     means = []  # [sw2, baseline] per part
     for x, draw_prior, prior_key, dirs_key in parts:

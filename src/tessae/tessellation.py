@@ -112,8 +112,6 @@ def regions_of(tess, points):
     # Not sq_dists: adding the row term changes the rounding, hence ties
     gg = (g * g).sum(axis=1)
     rows = max(1, LABEL_BLOCK // len(g))
-    if len(points) <= rows:
-        return np.argmin(gg - 2.0 * points @ g.T, axis=1)
     out = np.empty(len(points), dtype=np.intp)
     for i in range(0, len(points), rows):
         out[i:i + rows] = np.argmin(gg - 2.0 * points[i:i + rows] @ g.T, axis=1)
@@ -166,15 +164,13 @@ def lloyd_cvt(dim, m, mc_samples_per_iter=None, max_iters=100, energy_tol=1e-4, 
               + (gens * gens).sum(axis=1)[None, :]
               - 2.0 * pool @ gens.T)
         labels = np.argmin(d2, axis=1)
-        new_gens = gens.copy()
-        for i in range(m):
+        for i in range(m):  # d2 and labels are taken, so gens is overwritten in place
             mask = labels == i
             if mask.any():
-                new_gens[i] = pool[mask].mean(axis=0)
+                gens[i] = pool[mask].mean(axis=0)
             else:
-                new_gens[i] = pool[rng.integers(len(pool))]
+                gens[i] = pool[rng.integers(len(pool))]
                 reseeds += 1
-        gens = new_gens
         if len(energies) >= 2 and energies[-2] > 0:
             if (energies[-2] - energies[-1]) / energies[-2] < energy_tol:
                 break

@@ -3,21 +3,29 @@ and with the shared-batch Taylor-correction regularizer) forms its batches
 by least-cost assignment to the regions; the non-tessellated baseline forms
 them by shuffling."""
 
-import csv
 import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autoencoder import AdamState, adam_step, encode, init_params, loss_and_grad
+from .autoencoder import ESTIMATORS, AdamState, adam_step, encode, init_params, loss_and_grad
 from .batch_design import lcm_assign
+from .experiments import write_csv
 from .seeding import derive_rng, derive_seed
-from .tessellation import e8_tessellation, lloyd_cvt, sample_region, sample_unit_ball
+from .tessellation import CVT, E8, e8_tessellation, lloyd_cvt, sample_region, sample_unit_ball
 
 # substream purposes
 _PRIOR, _EST, _REGION_SHUFFLE, _BATCH_SHUFFLE = 0, 1, 2, 3
 _SUPPORT_IDX, _SUPPORT_PRIOR, _SUPPORT_EST = 4, 5, 6
+
+
+def require_nonnegative(name, value):
+    """Raise a ValueError naming name unless value is finite and >= 0."""
+    if not value >= 0:  # also rejects NaN
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    if value == np.inf:
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass
@@ -40,9 +48,11 @@ class TrainConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("lam", "alpha", "learning_rate"):
-            value = getattr(self, name)
-            if not value >= 0:  # also rejects NaN
-                raise ValueError(f"{name} must be >= 0, got {value}")
+            require_nonnegative(name, getattr(self, name))
+        if self.estimator not in ESTIMATORS:
+            raise ValueError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
+        if self.tessellation_kind not in (CVT, E8):
+            raise ValueError(f"tessellation_kind must be CVT or E8, got {self.tessellation_kind!r}")
         if self.chunk_size % self.m != 0:
             raise ValueError("chunk_size must be divisible by m")
         unknown = set(self.estimator_config) - {"num_projections"}
@@ -58,19 +68,14 @@ class TrainConfig:
 @dataclass
 class MetricsLog:
     records: list = field(default_factory=list)
+    COLUMNS = ("epoch", "chunk", "region", "recon", "latent", "lcm_ms", "step_ms")
 
     def add(self, epoch, chunk, region, recon, latent, lcm_ms, step_ms):
-        self.records.append({"epoch": epoch, "chunk": chunk, "region": region,
-                             "recon": recon, "latent": latent,
-                             "lcm_ms": lcm_ms, "step_ms": step_ms})
+        self.records.append(dict(zip(self.COLUMNS,
+                                     (epoch, chunk, region, recon, latent, lcm_ms, step_ms))))
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["epoch", "chunk", "region", "recon", "latent",
-                                "lcm_ms", "step_ms"])
-            writer.writeheader()
-            writer.writerows(self.records)
+        write_csv(path, self.COLUMNS, [r.values() for r in self.records])
 
     def epoch_means(self, key):
         epochs = sorted({r["epoch"] for r in self.records})
@@ -83,7 +88,7 @@ class TrainingAborted(RuntimeError):
 
 
 def build_tessellation(config):
-    if config.tessellation_kind == "E8":
+    if config.tessellation_kind == E8:
         if config.latent_dim != 8 or config.m != 241:
             raise ValueError("E8 tessellation needs latent_dim=8 and m=241")
         return e8_tessellation()
@@ -131,12 +136,11 @@ def _tessellated_batches(config, tess, params, x_chunk, epoch, c):
     t0 = time.perf_counter()
     plan = lcm_assign(z, tess.generators, n)
     lcm_ms = (time.perf_counter() - t0) * 1e3
-    # region k's n rows, in chunk order, are rows k*n:(k+1)*n of grouped
-    grouped = x_chunk[np.argsort(plan.assignment, kind="stable")]
+    grouped = plan.grouped(x_chunk)
     order = derive_rng(config.seed, epoch, c, 0, _REGION_SHUFFLE).permutation(config.m)
     for step, k in enumerate(int(k) for k in order):
         prior = sample_region(tess, k, n, derive_rng(config.seed, epoch, c, step, _PRIOR))
-        yield k, grouped[k * n:(k + 1) * n], prior, lcm_ms
+        yield k, grouped[k], prior, lcm_ms
 
 
 def _random_batches(config, tess, params, x_chunk, epoch, c):

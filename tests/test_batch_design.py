@@ -160,6 +160,19 @@ def test_permutation_equivariance():
     assert np.array_equal(shuffled.assignment, base.assignment[perm])
 
 
+@pytest.mark.parametrize("shape", [(), (3,), (2, 2)])
+def test_grouped_equals_region_masks(shape):
+    # region k's rows, in their original order, are those assigned to k
+    rng = np.random.default_rng(7)
+    points, generators = rng.standard_normal((24, 2)), rng.standard_normal((4, 2))
+    plan = lcm_assign(points, generators, 6)
+    rows = rng.standard_normal((24, *shape))
+    grouped = plan.grouped(rows)
+    assert grouped.shape == (4, 6, *shape)
+    for k in range(4):
+        assert np.array_equal(grouped[k], rows[plan.assignment == k])
+
+
 def test_cost_self_consistency():
     rng = np.random.default_rng(4)
     z = rng.standard_normal((12, 3))

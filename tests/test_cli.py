@@ -197,6 +197,19 @@ def test_run_error_is_one_line_exit_2(tmp_path, monkeypatch, capsys):
     assert err == "error: TrainingAborted: non-finite loss at epoch 0 chunk 0 region 1\n"
 
 
+def test_memory_error_is_one_line_exit_2(tmp_path, monkeypatch, capsys):
+    # `cvt --dim 2 --m 1000000000` fails in numpy's allocator; the stand-in
+    # raises the same error without allocating anything
+    message = "Unable to allocate 2.91 TiB for an array with shape (200000000000, 2)"
+
+    def exhaust(*args, **kwargs):
+        raise MemoryError(message)
+    monkeypatch.setattr("tessae.cli.lloyd_cvt", exhaust)
+    code = main(["cvt", "--dim", "2", "--m", "1000000000", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_unusable_out_is_one_line_exit_2(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -323,6 +336,12 @@ def test_gap_wrong_typed_json_is_one_line_exit_2(tmp_path, capsys, which, key, v
     (["rates", "--dim", "0"], "dim must be >= 1"),
     (["train", *SMALL_TRAIN, "--radius", "nan"], "radius must be finite, got nan"),
     (["train", *SMALL_TRAIN, "--sigma", "inf"], "sigma must be finite, got inf"),
+    (["train", *SMALL_TRAIN, "--lambda", "inf"], "--lambda must be finite, got inf"),
+    (["train", *SMALL_TRAIN, "--learning-rate", "inf"], "--learning-rate must be finite, got inf"),
+    (["cvt", "--dim", "2", "--m", "3", "--energy-tol", "inf"], "--energy-tol must be finite, got inf"),
+    (["cvt", "--dim", "2", "--m", "3", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["train", *SMALL_TRAIN, "--dataset", "ball", "--data-dim", "0"],
+     "--data-dim must be >= 1, got 0"),
 ], ids=["train-epochs", "train-n-chunk", "train-projections", "cvt-max-iters",
         "gap-trials", "gap-n", "gap-projections", "varcheck-n", "varcheck-n-above-population",
         "ineq-trials", "train-dataset-below-chunk", "train-hidden-0", "train-hidden-negative",
@@ -332,7 +351,9 @@ def test_gap_wrong_typed_json_is_one_line_exit_2(tmp_path, capsys, which, key, v
         "train-alpha-nan", "rates-n-grid-not-int",
         "rates-n-grid-empty", "train-hidden-not-int", "cvt-energy-tol-nan",
         "varcheck-step-scale-nan", "varcheck-dim-0", "train-count-negative",
-        "rates-dim-0", "train-radius-nan", "train-sigma-inf"])
+        "rates-dim-0", "train-radius-nan", "train-sigma-inf", "train-lambda-inf",
+        "train-learning-rate-inf", "cvt-energy-tol-inf", "cvt-seed-negative",
+        "train-ball-data-dim-0"])
 def test_bad_count_is_one_line_exit_2(tmp_path, capsys, argv, message):
     if argv[0] == "gap":
         gap_inputs(tmp_path)

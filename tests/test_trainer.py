@@ -45,6 +45,24 @@ def test_negative_or_nan_value_rejected(name, value):
         small_config(**{name: value})
 
 
+@pytest.mark.parametrize("name", ["lam", "alpha", "learning_rate"])
+def test_infinite_value_rejected(name):
+    with pytest.raises(ValueError, match=f"{name} must be finite, got inf"):
+        small_config(**{name: float("inf")})
+
+
+def test_unknown_estimator_rejected_when_built():
+    # before any tessellation is built, not at the first training step
+    with pytest.raises(ValueError, match="estimator must be one of .* got 'FOO'"):
+        small_config(estimator="FOO")
+
+
+def test_unknown_tessellation_kind_rejected():
+    # an unknown kind would otherwise train on a CVT
+    with pytest.raises(ValueError, match="tessellation_kind must be CVT or E8, got 'XYZ'"):
+        small_config(tessellation_kind="XYZ")
+
+
 @pytest.mark.parametrize("key", ["ascent_iters", "num_projection"])
 def test_estimator_config_unknown_key_rejected(key):
     # only num_projections is read; any other key would be ignored silently
