@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import discrepancy as dsc
-from .seeding import as_rng
 
 
 class ForwardNumericalError(RuntimeError):
@@ -71,7 +70,7 @@ def init_params(layer_sizes, latent_dim, seed):
     the hidden layers; e.g. ([2, 4], 2) builds a 2-4-2 encoder and a
     2-4-2 decoder.  Weights ~ N(0, 2/fan_in), biases zero.
     """
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     params = AutoEncoderParams(np.zeros(_layer_shapes(tuple(layer_sizes), latent_dim)[1]),
                                latent_dim, list(layer_sizes))
     for w, _ in params.encoder + params.decoder:

@@ -196,6 +196,8 @@ def cmd_varcheck(args):
 
 
 def cmd_assign_bench(args):
+    if args.dim < 1:
+        raise ValueError(f"--dim must be >= 1, got {args.dim}")
     if min(args.n_points, args.m) < 1 or args.n_points % args.m:
         raise ValueError(f"--n-points {args.n_points} is not a positive multiple of --m {args.m}")
     rng = derive_rng(args.seed, 0)

@@ -1,11 +1,10 @@
 """Datasets: synthetic 2-D/ball generators and a bit-exact IDX parser."""
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import as_rng
 from .tessellation import sample_unit_ball
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -50,15 +49,6 @@ class Dataset:
     def dim(self):
         return self.points.shape[1]
 
-    def to_csv(self, path):
-        d = self.dim
-        header = ",".join(f"f{i}" for i in range(d))
-        cols = self.points
-        if self.labels is not None:
-            header += ",label"
-            cols = np.column_stack([self.points, self.labels])
-        np.savetxt(path, cols, delimiter=",", header=header, comments="")
-
 
 def gen_gaussian_ring(modes, radius, sigma, count, seed):
     """Equal-weight mixture of `modes` isotropic 2-D Gaussians centered on
@@ -66,9 +56,11 @@ def gen_gaussian_ring(modes, radius, sigma, count, seed):
     for name, value in (("radius", radius), ("sigma", sigma)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    if modes < 1 or sigma <= 0:
-        raise ValueError("modes >= 1 and sigma > 0 required")
-    rng = as_rng(seed)
+    if modes < 1:
+        raise ValueError(f"modes must be >= 1, got {modes}")
+    if sigma <= 0:
+        raise ValueError(f"sigma must be > 0, got {sigma}")
+    rng = np.random.default_rng(seed)
     labels = rng.integers(modes, size=count)
     angles = 2.0 * np.pi * labels / modes
     centers = radius * np.column_stack([np.cos(angles), np.sin(angles)])
@@ -136,19 +128,3 @@ def write_idx_labels(path, labels):
     with open(path, "wb") as fh:
         fh.write(struct.pack(">2i", IDX_LABELS_MAGIC, len(labels)))
         fh.write(labels.tobytes())
-
-
-def downscale(dataset, factor):
-    """Block-mean pooling of square images stored as flat rows."""
-    if factor == 1:
-        return dataset
-    side = int(round(np.sqrt(dataset.dim)))
-    if side * side != dataset.dim:
-        raise ValueError("downscale needs square images")
-    if side % factor != 0:
-        raise ValueError(f"side {side} not divisible by factor {factor}")
-    new_side = side // factor
-    imgs = dataset.points.reshape(-1, new_side, factor, new_side, factor)
-    pooled = imgs.mean(axis=(2, 4)).reshape(len(dataset), new_side * new_side)
-    return Dataset(points=pooled, labels=dataset.labels,
-                   source=dataset.source + f"_down{factor}")

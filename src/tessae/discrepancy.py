@@ -6,7 +6,6 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .batch_design import sq_dists
-from .seeding import as_rng
 
 
 class NumericalFailure(RuntimeError):
@@ -96,7 +95,7 @@ def sw2(a, b, num_projections=1000, seed=0):
     """Sliced squared W2: average 1-D sorted W2 over num_projections
     random directions on the unit sphere."""
     a, b = _check_pair(a, b)
-    dirs = directions(a.shape[1], num_projections, as_rng(seed))
+    dirs = directions(a.shape[1], num_projections, np.random.default_rng(seed))
     return sw2_projected(a, b, dirs)
 
 
@@ -122,7 +121,7 @@ def sw2_gradient(a, b, num_projections=1000, seed=0):
     """Gradient of sw2 with respect to a; the same seed reproduces the
     matchings of the paired sw2 call."""
     a, b = _check_pair(a, b)
-    dirs = directions(a.shape[1], num_projections, as_rng(seed))
+    dirs = directions(a.shape[1], num_projections, np.random.default_rng(seed))
     _, coeff = _matched_diffs((a @ dirs.T).T.copy(), (b @ dirs.T).T.copy())
     # the product takes coeff C-contiguous (n, L): the transposed view would
     # round differently
@@ -145,7 +144,7 @@ def max_sw2(a, b, ascent_iters=10, step_size=0.1, seed=0):
     if ascent_iters < 1:
         raise ValueError("ascent_iters must be >= 1")
     n, d = a.shape
-    w = directions(d, 1, as_rng(seed))[0]
+    w = directions(d, 1, np.random.default_rng(seed))[0]
 
     def value_grad(w):
         ia, ib, diff = _matched_1d(a, b, w)
@@ -188,7 +187,7 @@ def _gsw_pivots(a, b, num_projections, pivot_radius, seed):
         pivot_radius = default_pivot_radius(a, b)
     if pivot_radius <= 0:
         raise ValueError("pivot_radius must be positive")
-    return pivot_radius * directions(a.shape[1], num_projections, as_rng(seed))
+    return pivot_radius * directions(a.shape[1], num_projections, np.random.default_rng(seed))
 
 
 def _gsw_features(x, pivots):

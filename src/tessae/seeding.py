@@ -3,13 +3,6 @@
 import numpy as np
 
 
-def as_rng(seed):
-    """Coerce an int seed, SeedSequence or Generator into a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def derive_seed(seed, *key):
     """The SeedSequence of the substream for (seed, key).
 

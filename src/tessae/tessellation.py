@@ -10,14 +10,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch_design import sq_dists
-from .seeding import as_rng
 
 CVT = "CVT"
 E8 = "E8"
 # E8's Voronoi cell has volume 1, so (r/sqrt(2))^8 = vol(B^8)/241 = pi^4/(24*241)
 R_STAR = float(np.sqrt(2.0) * (np.pi ** 4 / (24 * 241)) ** (1 / 8))
-# regions_of labels its points in row blocks of at most this many
-# (row, generator) distances, 8 MB of float64
+# regions_of, lloyd_cvt and cvt_energy take their points in row blocks of
+# at most this many (row, generator) distances, 8 MB of float64
 LABEL_BLOCK = 1 << 20
 
 
@@ -93,7 +92,7 @@ def sample_unit_ball(dim, count, seed):
     """
     if dim < 1 or count < 1:
         raise ValueError("dim and count must be positive")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     x = rng.standard_normal((count, dim))
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
@@ -101,28 +100,43 @@ def sample_unit_ball(dim, count, seed):
     return (x / norms) * r[:, None]
 
 
-def regions_of(tess, points):
-    """Region index for every row of points (ties to the lowest index),
-    computed in row blocks of at most LABEL_BLOCK distances."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[1] != tess.dim:
-        raise ValueError(f"point dim {points.shape[1]} != tessellation dim {tess.dim}")
-    g = tess.generators
+def _blockwise(points, g, reduce, dtype):
+    """reduce(block) for row blocks of points holding at most LABEL_BLOCK
+    (row, generator) pairs, written into one preallocated array."""
+    rows = max(1, LABEL_BLOCK // len(g))
+    out = np.empty(len(points), dtype=dtype)
+    for i in range(0, len(points), rows):
+        out[i:i + rows] = reduce(points[i:i + rows])
+    return out
+
+
+def _nearest(points, g):
+    """Index of the nearest row of g for every row of points, ties to the
+    lowest index."""
     # ||p - g||^2 = ||p||^2 - 2 p.g + ||g||^2; ||p||^2 is constant per row.
     # Not sq_dists: adding the row term changes the rounding, hence ties
     gg = (g * g).sum(axis=1)
-    rows = max(1, LABEL_BLOCK // len(g))
-    out = np.empty(len(points), dtype=np.intp)
-    for i in range(0, len(points), rows):
-        out[i:i + rows] = np.argmin(gg - 2.0 * points[i:i + rows] @ g.T, axis=1)
-    return out
+    return _blockwise(points, g, lambda p: np.argmin(gg - 2.0 * p @ g.T, axis=1), np.intp)
+
+
+def _min_sq_dists(points, g):
+    """Squared distance from every row of points to its nearest row of g."""
+    return _blockwise(points, g, lambda p: sq_dists(p, g).min(axis=1), float)
+
+
+def regions_of(tess, points):
+    """Region index for every row of points (ties to the lowest index)."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.shape[1] != tess.dim:
+        raise ValueError(f"point dim {points.shape[1]} != tessellation dim {tess.dim}")
+    return _nearest(points, tess.generators)
 
 
 def cvt_energy(tess, mc_samples, seed):
     """Monte Carlo clustering energy: E_y[min_i ||y - g_i||^2], y uniform
     on the unit ball (density normalized to integrate to 1)."""
     pool = sample_unit_ball(tess.dim, mc_samples, seed)
-    return float(sq_dists(pool, tess.generators).min(axis=1).mean())
+    return float(_min_sq_dists(pool, tess.generators).mean())
 
 
 def lloyd_cvt(dim, m, mc_samples_per_iter=None, max_iters=100, energy_tol=1e-4, seed=0):
@@ -145,7 +159,7 @@ def lloyd_cvt(dim, m, mc_samples_per_iter=None, max_iters=100, energy_tol=1e-4, 
         mc_samples_per_iter = max(200 * m * dim, 100 * m)
     if mc_samples_per_iter < 100 * m:
         raise ValueError("mc_samples_per_iter must be >= 100*m")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     gens = sample_unit_ball(dim, m, rng)
     # the energy sequence is monitored on one fixed pool so that iteration
     # noise stays second order; centroid pools are fresh per iteration
@@ -153,21 +167,19 @@ def lloyd_cvt(dim, m, mc_samples_per_iter=None, max_iters=100, energy_tol=1e-4, 
     energies = []
     reseeds = 0
     for _ in range(max_iters):
-        energy = float(sq_dists(eval_pool, gens).min(axis=1).mean())
+        energy = float(_min_sq_dists(eval_pool, gens).mean())
         # MC noise allows small increases; a real increase is a bug
         if energies and not energy <= energies[-1] * 1.01:
             raise RuntimeError("Lloyd energy increased beyond MC tolerance")
         energies.append(energy)
         pool = sample_unit_ball(dim, mc_samples_per_iter, rng)
-        # not sq_dists: its clamp pass costs time and can tie entries, moving labels
-        d2 = ((pool * pool).sum(axis=1)[:, None]
-              + (gens * gens).sum(axis=1)[None, :]
-              - 2.0 * pool @ gens.T)
-        labels = np.argmin(d2, axis=1)
-        for i in range(m):  # d2 and labels are taken, so gens is overwritten in place
-            mask = labels == i
-            if mask.any():
-                gens[i] = pool[mask].mean(axis=0)
+        labels = _nearest(pool, gens)
+        # region i's pool rows in their original order, as AssignmentPlan.grouped
+        groups = np.split(pool[np.argsort(labels, kind="stable")],
+                          np.cumsum(np.bincount(labels, minlength=m))[:-1])
+        for i, group in enumerate(groups):  # labels are taken, so gens is overwritten in place
+            if len(group):
+                gens[i] = group.mean(axis=0)
             else:
                 gens[i] = pool[rng.integers(len(pool))]
                 reseeds += 1
@@ -299,7 +311,7 @@ def sample_region(tess, region_index, count, seed):
         raise ValueError(f"region_index {region_index} out of range [0, {m})")
     e8 = tess.kind == E8
     frames = e8_frames() if e8 else None
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     out = []
     accepted = 0
     window_draws = 0

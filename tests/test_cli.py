@@ -342,6 +342,10 @@ def test_gap_wrong_typed_json_is_one_line_exit_2(tmp_path, capsys, which, key, v
     (["cvt", "--dim", "2", "--m", "3", "--seed", "-1"], "--seed must be >= 0, got -1"),
     (["train", *SMALL_TRAIN, "--dataset", "ball", "--data-dim", "0"],
      "--data-dim must be >= 1, got 0"),
+    (["assign-bench", "--dim", "-1"], "--dim must be >= 1, got -1"),
+    (["assign-bench", "--dim", "0"], "--dim must be >= 1, got 0"),
+    (["train", *SMALL_TRAIN, "--modes", "0"], "modes must be >= 1, got 0"),
+    (["train", *SMALL_TRAIN, "--sigma", "-1"], "sigma must be > 0, got -1.0"),
 ], ids=["train-epochs", "train-n-chunk", "train-projections", "cvt-max-iters",
         "gap-trials", "gap-n", "gap-projections", "varcheck-n", "varcheck-n-above-population",
         "ineq-trials", "train-dataset-below-chunk", "train-hidden-0", "train-hidden-negative",
@@ -353,7 +357,8 @@ def test_gap_wrong_typed_json_is_one_line_exit_2(tmp_path, capsys, which, key, v
         "varcheck-step-scale-nan", "varcheck-dim-0", "train-count-negative",
         "rates-dim-0", "train-radius-nan", "train-sigma-inf", "train-lambda-inf",
         "train-learning-rate-inf", "cvt-energy-tol-inf", "cvt-seed-negative",
-        "train-ball-data-dim-0"])
+        "train-ball-data-dim-0", "assign-bench-dim-negative", "assign-bench-dim-0",
+        "train-modes-0", "train-sigma-negative"])
 def test_bad_count_is_one_line_exit_2(tmp_path, capsys, argv, message):
     if argv[0] == "gap":
         gap_inputs(tmp_path)

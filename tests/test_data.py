@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tessae.data import (CountMismatchError, Dataset, TruncatedPayloadError,
-                         WrongMagicError, downscale, gen_gaussian_ring,
+                         WrongMagicError, gen_gaussian_ring,
                          gen_uniform_ball_dataset, load_idx, write_idx_images,
                          write_idx_labels)
 
@@ -29,9 +29,9 @@ def test_ring_deterministic():
 
 
 def test_ring_guards():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^modes must be >= 1, got 0$"):
         gen_gaussian_ring(0, 1.0, 0.1, 10, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^sigma must be > 0, got 0.0$"):
         gen_gaussian_ring(2, 1.0, 0.0, 10, seed=0)
 
 
@@ -46,15 +46,6 @@ def test_uniform_ball_dataset_radial_mean():
 def test_dataset_label_count_guard():
     with pytest.raises(ValueError):
         Dataset(points=np.zeros((3, 2)), labels=np.array([0, 1]))
-
-
-def test_dataset_csv_header(tmp_path):
-    ds = Dataset(points=np.array([[0.5, 1.0]]), labels=np.array([3]))
-    path = tmp_path / "ds.csv"
-    ds.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "f0,f1,label"
-    assert [float(v) for v in lines[1].split(",")] == [0.5, 1.0, 3.0]
 
 
 def fixture_files(tmp_path, pixels=None, labels=(1, 7)):
@@ -102,30 +93,6 @@ def test_idx_label_count_mismatch(tmp_path):
     write_idx_labels(lab_path, np.array([1], dtype=np.uint8))
     with pytest.raises(CountMismatchError):
         load_idx(img_path, str(lab_path))
-
-
-def test_downscale_blocks(tmp_path):
-    img = np.array([[[0, 0], [255, 255]]], dtype=np.uint8)  # one 2x2 image
-    img_path = tmp_path / "one.idx"
-    write_idx_images(img_path, img)
-    ds = load_idx(str(img_path))
-    pooled = downscale(ds, 2)
-    assert pooled.points.shape == (1, 1)
-    assert pooled.points[0, 0] == 0.5
-
-
-def test_downscale_identity_and_constant():
-    ds = Dataset(points=np.full((3, 16), 0.25))
-    assert downscale(ds, 1) is ds
-    pooled = downscale(ds, 2)
-    assert np.allclose(pooled.points, 0.25)
-    assert pooled.points.shape == (3, 4)
-
-
-def test_downscale_divisibility():
-    ds = Dataset(points=np.zeros((1, 9)))
-    with pytest.raises(ValueError):
-        downscale(ds, 2)
 
 
 @pytest.mark.parametrize("radius, sigma, message", [

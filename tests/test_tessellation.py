@@ -412,6 +412,35 @@ def test_sample_region_memory_is_bounded():
     assert peak < 48 * 2 ** 20
 
 
+
+@pytest.mark.parametrize("rows", [3, 1000])
+def test_lloyd_on_blocks_equals_whole(monkeypatch, rows):
+    tess, stats = lloyd_cvt(2, 20, max_iters=3, seed=4)
+    energy = cvt_energy(tess, 5000, seed=1)
+    monkeypatch.setattr(tessellation, "LABEL_BLOCK", rows * 20)
+    blocked, blocked_stats = lloyd_cvt(2, 20, max_iters=3, seed=4)
+    assert np.array_equal(blocked.generators, tess.generators)
+    assert blocked_stats == stats
+    assert cvt_energy(tess, 5000, seed=1) == energy
+
+
+def test_lloyd_memory_is_bounded():
+    # labelled and measured as whole (pool, m) matrices, one iteration at
+    # (2, 400) peaked at about 984 MB
+    tracemalloc.start()
+    try:
+        lloyd_cvt(2, 400, max_iters=1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+
+
+def test_regions_of_zero_rows(e8):
+    # sample_region's E8 outer path labels an empty set when no draw is outer
+    labels = regions_of(e8, np.empty((0, 8)))
+    assert labels.shape == (0,) and labels.dtype == np.intp
+
 def test_e8_roots_are_one_read_only_table():
     roots = e8_roots()
     assert roots is e8_roots() and not roots.flags.writeable
