@@ -6,9 +6,8 @@ from .autoencoder import (AdamState, AutoEncoderParams, adam_step, decode,
 from .batch_design import (AssignmentPlan, distance_matrix, lcm_assign, optimal_assign,
                            sq_dists)
 from .data import Dataset, gen_gaussian_ring, gen_uniform_ball_dataset, load_idx
-from .discrepancy import (gsw2_circular, gsw2_gradient, gsw2_value_and_grad, gw2,
-                          gw2_gradient, max_sw2, sw2, sw2_gradient, w2_1d_sorted,
-                          wasserstein_exact)
+from .discrepancy import (gsw2_value_and_grad, gw2, gw2_value_and_grad, max_sw2, sw2,
+                          sw2_gradient, w2_1d_sorted, wasserstein_exact)
 from .experiments import (RateStudyResult, eq19_check, gap_study, rate_study_sw,
                           theorem6_check, variance_check)
 from .tessellation import (Tessellation, cvt_energy, e8_roots, e8_tessellation,

@@ -122,10 +122,10 @@ def _latent_value_and_grad(z, prior, estimator, num_projections, seed):
         return (dsc.sw2(z, prior, num_projections, seed),
                 dsc.sw2_gradient(z, prior, num_projections, seed))
     if estimator == "GW":
-        return dsc.gw2(z, prior), dsc.gw2_gradient(z, prior)
+        return dsc.gw2_value_and_grad(z, prior)
     if estimator == "MAXSW":
-        value, direction = dsc.max_sw2(z, prior, seed=seed)
-        return value, dsc.maxsw2_gradient(z, prior, direction)
+        value, _, grad = dsc.max_sw2(z, prior, seed=seed)
+        return value, grad
     if estimator == "GSW":
         return dsc.gsw2_value_and_grad(z, prior, num_projections, seed=seed)
     raise ValueError(f"unknown estimator {estimator!r}")

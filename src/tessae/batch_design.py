@@ -7,6 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+OPTIMAL_MAX_POINTS = 256  # optimal_assign's limit: its cost matrix holds N^2 floats
+
 
 @dataclass(frozen=True)
 class AssignmentPlan:
@@ -100,7 +102,7 @@ def lcm_assign(points, generators, capacity):
 
 def optimal_assign(points, generators, capacity):
     """Exact minimum-cost plan: duplicates each generator `capacity` times
-    and solves the resulting square assignment problem. N <= 256."""
+    and solves the resulting square assignment problem. N <= OPTIMAL_MAX_POINTS."""
     points = np.asarray(points, dtype=float)
     generators = np.asarray(generators, dtype=float)
     m = len(generators)
@@ -108,8 +110,8 @@ def optimal_assign(points, generators, capacity):
     if n_points != capacity * m:
         raise ValueError(f"need N = capacity * m, got N={n_points}, "
                          f"capacity={capacity}, m={m}")
-    if n_points > 256:
-        raise ValueError("optimal_assign limited to N <= 256")
+    if n_points > OPTIMAL_MAX_POINTS:
+        raise ValueError(f"optimal_assign limited to N <= {OPTIMAL_MAX_POINTS}")
     dmat = distance_matrix(points, generators)
     big = np.repeat(dmat, capacity, axis=1)  # column block j*capacity..(j+1)*capacity-1 = region j
     rows, cols = linear_sum_assignment(big)

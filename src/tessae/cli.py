@@ -14,7 +14,7 @@ import numpy as np
 from . import autoencoder as ae
 from . import data as datamod
 from . import experiments as exp
-from .batch_design import lcm_assign, optimal_assign
+from .batch_design import OPTIMAL_MAX_POINTS, lcm_assign, optimal_assign
 from .discrepancy import NumericalFailure
 from .seeding import derive_rng
 from .tessellation import CVT, E8, DegenerateRegionError, Tessellation, e8_tessellation, lloyd_cvt
@@ -31,8 +31,16 @@ _RUN_ERRORS = (TrainingAborted, ae.ForwardNumericalError, NumericalFailure,
                DegenerateRegionError)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ValueError, so that main
+    reports them in one `error:` line, as it does every bad value."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _config_parser(prog="tessae"):
-    parser = argparse.ArgumentParser(prog=prog, add_help=False)
+    parser = _Parser(prog=prog, add_help=False)
     parser.add_argument("--config", help="key = value config file; flags override")
     return parser
 
@@ -208,22 +216,22 @@ def cmd_assign_bench(args):
         generators = rng.standard_normal((args.m, args.dim)) * 0.3
     capacity = args.n_points // args.m
     solvers = [("lcm", lcm_assign)]
-    if args.n_points <= 256:  # the exact solver's limit
+    if args.n_points <= OPTIMAL_MAX_POINTS:
         solvers.append(("optimal", optimal_assign))
     rows = []
     for name, solve in solvers:
         t0 = time.perf_counter()
         plan = solve(points, generators, capacity)
         rows.append([name, args.n_points, args.m, args.dim, time.perf_counter() - t0, plan.cost])
-    exp.write_csv(os.path.join(args.out, "assign_bench.csv"),
-                  ["method", "n_points", "m", "dim", "seconds", "cost"], rows)
+    datamod.write_csv(os.path.join(args.out, "assign_bench.csv"),
+                      ["method", "n_points", "m", "dim", "seconds", "cost"], rows)
     for row in rows:
         print(f"{row[0]}: N={row[1]} m={row[2]} d={row[3]} "
               f"time={row[4]:.3f}s cost={row[5]:.4f}")
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(prog="tessae")
+    parser = _Parser(prog="tessae")
     sub = parser.add_subparsers(dest="command", required=True)
     common = _config_parser()
 
@@ -315,14 +323,10 @@ def main(argv=None):
                 argv[1:1] = _read_config_file(cfg_path)
         args = parser.parse_args(argv)
         _check_nonnegative(args)
-    except SystemExit as err:
-        return err.code if err.code is not None else 0
-    except (OSError, ValueError) as err:  # an unreadable config file or a bad value
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    try:
         _prepare_out(args)
         args.func(args)
+    except SystemExit as err:  # --help
+        return err.code if err.code is not None else 0
     except CheckFailed as err:
         print(f"check failed: {err}", file=sys.stderr)
         return 1

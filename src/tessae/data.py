@@ -1,5 +1,7 @@
-"""Datasets: synthetic 2-D/ball generators and a bit-exact IDX parser."""
+"""Datasets: synthetic 2-D/ball generators, a bit-exact IDX parser, and the
+CSV writer of every artifact."""
 
+import csv
 import struct
 from dataclasses import dataclass
 
@@ -113,18 +115,8 @@ def load_idx(path_images, path_labels=None):
     return Dataset(points=points, labels=labels, source=path_images)
 
 
-def write_idx_images(path, images):
-    """Inverse of load_idx's image branch, for fixtures: images is a
-    (count, rows, cols) uint8 array."""
-    images = np.asarray(images, dtype=np.uint8)
-    count, rows, cols = images.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">4i", IDX_IMAGES_MAGIC, count, rows, cols))
-        fh.write(images.tobytes())
-
-
-def write_idx_labels(path, labels):
-    labels = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">2i", IDX_LABELS_MAGIC, len(labels)))
-        fh.write(labels.tobytes())
+def write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

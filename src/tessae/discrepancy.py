@@ -1,6 +1,6 @@
 """Squared-W2 discrepancies between equal-size point sets: exact assignment,
 1-D sorted, sliced (SW), max-sliced, circular generalized-sliced and the
-Gaussian closed form (GW), with analytic gradients for SW and GW."""
+Gaussian closed form (GW), with analytic gradients for the last four."""
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -139,7 +139,9 @@ def _matched_1d(a, b, w):
 
 def max_sw2(a, b, ascent_iters=10, step_size=0.1, seed=0):
     """Max-sliced squared W2: projected gradient ascent on the sphere for
-    the worst direction.  Returns (value, direction)."""
+    the worst direction.  Returns (value, direction, gradient), the gradient
+    with respect to a of the 1-D sorted W2 along that direction, from the
+    matching that gave its value."""
     a, b = _check_pair(a, b)
     if ascent_iters < 1:
         raise ValueError("ascent_iters must be >= 1")
@@ -148,31 +150,23 @@ def max_sw2(a, b, ascent_iters=10, step_size=0.1, seed=0):
 
     def value_grad(w):
         ia, ib, diff = _matched_1d(a, b, w)
-        return float((diff ** 2).mean()), (2.0 / n) * diff @ (a[ia] - b[ib])
+        return float((diff ** 2).mean()), (2.0 / n) * diff @ (a[ia] - b[ib]), ia, diff
 
-    v, g = value_grad(w)
-    best_v, best_w = v, w.copy()
+    v, g, ia, diff = value_grad(w)
+    best = v, w.copy(), ia, diff
     for _ in range(ascent_iters):
         w = w + step_size * g
         norm = np.linalg.norm(w)
         if norm == 0:
             break
         w /= norm
-        v, g = value_grad(w)
-        if v > best_v:
-            best_v, best_w = v, w.copy()
-    return best_v, best_w
-
-
-def maxsw2_gradient(a, b, direction):
-    """Gradient of the 1-D sorted W2 along a fixed direction w.r.t. a."""
-    a, b = _check_pair(a, b)
-    n = len(a)
-    w = np.asarray(direction, dtype=float)
-    ia, _, diff = _matched_1d(a, b, w)
+        v, g, ia, diff = value_grad(w)
+        if v > best[0]:
+            best = v, w.copy(), ia, diff
+    best_v, best_w, ia, diff = best
     grad = np.zeros_like(a)
-    grad[ia] = (2.0 / n) * diff[:, None] * w[None, :]
-    return grad
+    grad[ia] = (2.0 / n) * diff[:, None] * best_w[None, :]
+    return best_v, best_w, grad
 
 
 def default_pivot_radius(a, b):
@@ -195,15 +189,11 @@ def _gsw_features(x, pivots):
     return np.sqrt(np.maximum(sq_dists(x, pivots), 1e-300))
 
 
-def gsw2_circular(a, b, num_projections=1000, pivot_radius=None, seed=0):
-    """Generalized sliced squared W2 with circular projections: the scalar
-    feature is the distance to a pivot R*theta, theta uniform on the sphere."""
-    return gsw2_value_and_grad(a, b, num_projections, pivot_radius, seed)[0]
-
-
 def gsw2_value_and_grad(a, b, num_projections=1000, pivot_radius=None, seed=0):
-    """gsw2_circular and its gradient with respect to a from one feature
-    map and one sort; returns (value, gradient)."""
+    """Generalized sliced squared W2 with circular projections, the scalar
+    feature being the distance to a pivot R*theta with theta uniform on the
+    sphere, and its gradient with respect to a, from one feature map and one
+    sort; returns (value, gradient)."""
     a, b = _check_pair(a, b)
     pivots = _gsw_pivots(a, b, num_projections, pivot_radius, seed)
     fa = _gsw_features(a, pivots)
@@ -216,11 +206,6 @@ def gsw2_value_and_grad(a, b, num_projections=1000, pivot_radius=None, seed=0):
     c = (2.0 / (len(a) * num_projections)) * coeff.T.copy() / fa
     grad = c.sum(axis=1)[:, None] * a - c @ pivots
     return value, grad
-
-
-def gsw2_gradient(a, b, num_projections=1000, pivot_radius=None, seed=0):
-    """Gradient of gsw2_circular with respect to a (same seed pairing)."""
-    return gsw2_value_and_grad(a, b, num_projections, pivot_radius, seed)[1]
 
 
 def _sym_sqrt(mat, inv=False, floor=0.0):
@@ -244,45 +229,41 @@ def _moments(x):
     return mean, cov
 
 
-def gw2(a, b):
+def gw2_value_and_grad(a, b):
     """Closed-form squared W2 between the Gaussian approximations of two
-    point sets (Bures metric on covariances plus the mean shift)."""
-    a, b = _check_pair(a, b, equal_size=False)
-    if len(a) < 2 or len(b) < 2:
-        raise ValueError("gw2 needs at least 2 points per set")
-    m1, s1 = _moments(a)
-    m2, s2 = _moments(b)
-    s2_half = _sym_sqrt(s2)
-    cross = _sym_sqrt(s2_half @ s1 @ s2_half)
-    value = float(((m1 - m2) ** 2).sum() + np.trace(s1 + s2 - 2.0 * cross))
-    if not np.isfinite(value):
-        raise NumericalFailure("non-finite GW value")
-    return max(value, 0.0)
-
-
-def gw2_gradient(a, b):
-    """Analytic gradient of gw2 with respect to a.
+    point sets (Bures metric on covariances plus the mean shift), and its
+    analytic gradient with respect to a, from one moments pass; returns
+    (value, gradient).
 
     d tr(M^1/2) = 1/2 tr(M^-1/2 dM) gives
     dGW2/dS1 = I - S2^1/2 (S2^1/2 S1 S2^1/2)^-1/2 S2^1/2, chained through
-    the empirical mean and unbiased covariance.  A near-singular S2 is
-    regularized by +eps*I with eps = 1e-8 tr(S2)/d.
+    the empirical mean and unbiased covariance.  For the gradient only, a
+    near-singular S2 is regularized by +eps*I with eps = 1e-8 tr(S2)/d.
     """
     a, b = _check_pair(a, b, equal_size=False)
     n, d = a.shape
     if n < 2 or len(b) < 2:
-        raise ValueError("gw2_gradient needs at least 2 points per set")
+        raise ValueError("gw2 needs at least 2 points per set")
     m1, s1 = _moments(a)
     m2, s2 = _moments(b)
-    eps = 1e-8 * max(np.trace(s2), 1e-30) / d
-    if np.linalg.eigvalsh(s2).min() < eps:
-        s2 = s2 + eps * np.eye(d)
     s2_half = _sym_sqrt(s2)
     inner = s2_half @ s1 @ s2_half
+    value = float(((m1 - m2) ** 2).sum() + np.trace(s1 + s2 - 2.0 * _sym_sqrt(inner)))
+    if not np.isfinite(value):
+        raise NumericalFailure("non-finite GW value")
+    eps = 1e-8 * max(np.trace(s2), 1e-30) / d
+    if np.linalg.eigvalsh(s2).min() < eps:
+        s2_half = _sym_sqrt(s2 + eps * np.eye(d))
+        inner = s2_half @ s1 @ s2_half
     inner_inv_half = _sym_sqrt(inner, inv=True, floor=eps ** 2)
     g_cov = np.eye(d) - s2_half @ inner_inv_half @ s2_half
     g_cov = 0.5 * (g_cov + g_cov.T)
     grad = (2.0 / n) * (m1 - m2)[None, :] + (2.0 / (n - 1)) * (a - m1) @ g_cov
     if not np.all(np.isfinite(grad)):
         raise NumericalFailure("non-finite GW gradient")
-    return grad
+    return max(value, 0.0), grad
+
+
+def gw2(a, b):
+    """The value of gw2_value_and_grad."""
+    return gw2_value_and_grad(a, b)[0]

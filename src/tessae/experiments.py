@@ -2,14 +2,14 @@
 inequality audits, the shared-batch variance check, and the per-region
 prior-matching gap study.  Each harness can write a CSV artifact."""
 
-import csv
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .autoencoder import encode
-from .batch_design import lcm_assign, optimal_assign
+from .batch_design import OPTIMAL_MAX_POINTS, lcm_assign, optimal_assign
+from .data import write_csv
 from .discrepancy import (directions, sorted_projections, sq_diff_mean, sw2_projected,
                           wasserstein_exact)
 from .seeding import derive_rng
@@ -31,13 +31,6 @@ class RateStudyResult:
         write_csv(path, ["n", "mean", "se"],
                   [*zip(self.n_grid, self.means, self.ses),
                    ["slope", self.slope, self.intercept]])
-
-
-def write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _sw2_shared_dirs(a, b, dirs):
@@ -113,8 +106,8 @@ def eq19_check(n_points, m, dim, trials, seed=0, out_csv=None):
 
     Returns {"passed", "violations", "margins"}.
     """
-    if not 1 <= n_points <= 256 or n_points % m != 0:
-        raise ValueError("n_points must be in [1, 256] and divisible by m")
+    if not 1 <= n_points <= OPTIMAL_MAX_POINTS or n_points % m != 0:
+        raise ValueError(f"n_points must be in [1, {OPTIMAL_MAX_POINTS}] and divisible by m")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = n_points // m

@@ -11,7 +11,7 @@ import numpy as np
 
 from .autoencoder import ESTIMATORS, AdamState, adam_step, encode, init_params, loss_and_grad
 from .batch_design import lcm_assign
-from .experiments import write_csv
+from .data import write_csv
 from .seeding import derive_rng, derive_seed
 from .tessellation import CVT, E8, e8_tessellation, lloyd_cvt, sample_region, sample_unit_ball
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tessae import discrepancy
 from tessae.autoencoder import (AdamState, AutoEncoderParams,
                                 ForwardNumericalError, adam_step, decode,
                                 encode, init_params, load_checkpoint,
@@ -159,6 +160,25 @@ def test_gradient_vector_pinned(estimator):
                                {"num_projections": 8}, seed=1)
     assert grad.shape == p.flat.shape and grad.dtype == np.float64
     assert hashlib.sha256(grad.astype("<f8").tobytes()).hexdigest() == GRAD_SHA256[estimator]
+
+
+@pytest.mark.parametrize("estimator, helper, calls", [
+    ("MAXSW", "_matched_1d", 11),  # ascent_iters + 1 directions, none re-matched
+    ("GW", "_moments", 2),  # one per point set
+])
+def test_latent_estimator_is_one_evaluation(monkeypatch, estimator, helper, calls):
+    original, seen = getattr(discrepancy, helper), []
+
+    def counted(*args):
+        seen.append(helper)
+        return original(*args)
+
+    monkeypatch.setattr(discrepancy, helper, counted)
+    p = init_params([2, 4], 2, seed=8)
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((12, 2))
+    loss_and_grad(p, x, rng.standard_normal((12, 2)) * 0.3, 0.5, estimator, seed=1)
+    assert len(seen) == calls
 
 
 def test_adam_zero_gradient():

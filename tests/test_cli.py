@@ -2,10 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from idx_fixtures import write_idx_images
 
 from tessae.autoencoder import init_params, save_checkpoint
 from tessae.cli import main
-from tessae.data import write_idx_images
 from tessae.tessellation import Tessellation, e8_generators, lloyd_cvt
 from tessae.trainer import TrainingAborted
 
@@ -16,6 +16,14 @@ def run(tmp_path, *argv):
 
 def test_unknown_subcommand():
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("argv", [["rates", "--seed", "1e3"], ["frobnicate"], ["cvt", "--m", "4"]],
+                         ids=["rates-seed-not-int", "unknown-subcommand", "cvt-without-dim"])
+def test_usage_error_is_one_line_exit_2(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_cvt_deterministic(tmp_path):

@@ -3,8 +3,8 @@ import pytest
 
 from tessae.data import (CountMismatchError, Dataset, TruncatedPayloadError,
                          WrongMagicError, gen_gaussian_ring,
-                         gen_uniform_ball_dataset, load_idx, write_idx_images,
-                         write_idx_labels)
+                         gen_uniform_ball_dataset, load_idx)
+from idx_fixtures import write_idx_images, write_idx_labels
 
 
 def test_ring_single_mode_at_origin():

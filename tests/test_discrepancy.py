@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tessae.discrepancy import (_gsw_features, _gsw_pivots, default_pivot_radius, directions, gsw2_circular,
-                                gsw2_gradient, gsw2_value_and_grad, gw2, gw2_gradient,
-                                max_sw2, maxsw2_gradient, sorted_projections, sw2,
-                                sw2_gradient, sw2_projected, w2_1d_sorted,
-                                wasserstein_exact)
+from tessae.discrepancy import (_gsw_features, _gsw_pivots, default_pivot_radius, directions,
+                                gsw2_value_and_grad, gw2, gw2_value_and_grad, max_sw2,
+                                sorted_projections, sw2, sw2_gradient, sw2_projected,
+                                w2_1d_sorted, wasserstein_exact)
 
 
 def fd_gradient(fn, a, eps=1e-6):
@@ -47,7 +46,7 @@ def test_wasserstein_exact_size_guards():
         wasserstein_exact(np.zeros((1025, 1)), np.zeros((1025, 1)))
 
 
-@pytest.mark.parametrize("estimator", [wasserstein_exact, sw2, max_sw2, gsw2_circular,
+@pytest.mark.parametrize("estimator", [wasserstein_exact, sw2, max_sw2, gw2_value_and_grad,
                                        gsw2_value_and_grad, gw2], ids=lambda f: f.__name__)
 def test_estimate_is_a_float(estimator):
     rng = np.random.default_rng(22)
@@ -119,14 +118,14 @@ def test_sw2_gradient_translation_invariant():
 
 def test_max_sw2_identical_zero():
     a = np.random.default_rng(8).standard_normal((9, 3))
-    est, _ = max_sw2(a, a, seed=0)
+    est, _, _ = max_sw2(a, a, seed=0)
     assert est == 0.0
 
 
 def test_max_sw2_finds_separating_axis():
     a = np.zeros((20, 2))
     b = np.column_stack([np.full(20, 1.5), np.zeros(20)])
-    est, w = max_sw2(a, b, ascent_iters=30, seed=1)
+    est, w, _ = max_sw2(a, b, ascent_iters=30, seed=1)
     assert abs(abs(w[0]) - 1.0) < 0.05
     assert abs(est - 1.5 ** 2) < 0.1
 
@@ -134,7 +133,7 @@ def test_max_sw2_finds_separating_axis():
 def test_max_sw2_dominates_single_random_direction():
     rng = np.random.default_rng(9)
     a, b = rng.standard_normal((12, 3)), rng.standard_normal((12, 3)) + 0.5
-    est, _ = max_sw2(a, b, seed=2)
+    est, _, _ = max_sw2(a, b, seed=2)
     for s in range(5):
         single = sw2(a, b, 1, seed=100 + s)
         assert est >= single - 1e-9
@@ -143,15 +142,14 @@ def test_max_sw2_dominates_single_random_direction():
 def test_maxsw2_gradient_finite_differences():
     rng = np.random.default_rng(10)
     a, b = rng.standard_normal((8, 3)), rng.standard_normal((8, 3))
-    _, w = max_sw2(a, b, seed=3)
-    g = maxsw2_gradient(a, b, w)
+    _, w, g = max_sw2(a, b, seed=3)
     fd = fd_gradient(lambda x: w2_1d_sorted(x @ w, b @ w), a)
     assert np.abs(g - fd).max() <= 1e-6
 
 
 def test_gsw2_identical_zero():
     a = np.random.default_rng(11).standard_normal((10, 2))
-    assert gsw2_circular(a, a, 16, seed=0) == 0.0
+    assert gsw2_value_and_grad(a, a, 16, seed=0)[0] == 0.0
 
 
 def test_gsw2_large_pivot_approaches_sw2():
@@ -159,8 +157,8 @@ def test_gsw2_large_pivot_approaches_sw2():
     a, b = rng.standard_normal((16, 3)), rng.standard_normal((16, 3)) * 1.2
     r0 = default_pivot_radius(a, b)
     ref = sw2(a, b, 64, seed=4)
-    err_near = abs(gsw2_circular(a, b, 64, r0, seed=4) - ref)
-    err_far = abs(gsw2_circular(a, b, 64, 100 * r0, seed=4) - ref)
+    err_near = abs(gsw2_value_and_grad(a, b, 64, r0, seed=4)[0] - ref)
+    err_far = abs(gsw2_value_and_grad(a, b, 64, 100 * r0, seed=4)[0] - ref)
     assert err_far < err_near
     assert err_far < 0.05 * max(ref, 1e-9)
 
@@ -173,7 +171,7 @@ def test_gsw2_compresses_tangential_displacement():
     a = r * np.column_stack([np.cos(angles), np.sin(angles)])
     rot = 0.1
     b = r * np.column_stack([np.cos(angles + rot), np.sin(angles + rot)])
-    gsw = gsw2_circular(a, b, 512, pivot_radius=r, seed=5)
+    gsw = gsw2_value_and_grad(a, b, 512, pivot_radius=r, seed=5)[0]
     lin = sw2(a, b, 512, seed=5)
     assert gsw < lin
 
@@ -182,8 +180,8 @@ def test_gsw2_gradient_finite_differences():
     rng = np.random.default_rng(13)
     a, b = rng.standard_normal((8, 3)), rng.standard_normal((8, 3))
     r = default_pivot_radius(a, b)
-    g = gsw2_gradient(a, b, 32, r, seed=6)
-    fd = fd_gradient(lambda x: gsw2_circular(x, b, 32, r, seed=6), a)
+    g = gsw2_value_and_grad(a, b, 32, r, seed=6)[1]
+    fd = fd_gradient(lambda x: gsw2_value_and_grad(x, b, 32, r, seed=6)[0], a)
     assert np.abs(g - fd).max() / np.abs(fd).max() <= 1e-4
 
 
@@ -257,14 +255,14 @@ def test_gw2_gradient_near_stationary():
     rng = np.random.default_rng(18)
     a = rng.standard_normal((40, 3))
     b = a + 1e-7 * rng.standard_normal((40, 3))
-    assert np.linalg.norm(gw2_gradient(a, b)) <= 1e-3
+    assert np.linalg.norm(gw2_value_and_grad(a, b)[1]) <= 1e-3
 
 
 def test_gw2_gradient_finite_differences():
     rng = np.random.default_rng(19)
     a = rng.standard_normal((16, 4))
     b = rng.standard_normal((16, 4)) * 1.3 + 0.2
-    g = gw2_gradient(a, b)
+    g = gw2_value_and_grad(a, b)[1]
     fd = fd_gradient(lambda x: gw2(x, b), a)
     assert np.abs(g - fd).max() / np.abs(fd).max() <= 1e-3
 
@@ -275,7 +273,7 @@ def test_gw2_gradient_pure_mean_shift():
     centered -= centered.mean(axis=0)
     a = centered + np.array([1.0, 0.0, -0.5])
     b = centered + np.array([0.2, 0.3, 0.1])
-    g = gw2_gradient(a, b)
+    g = gw2_value_and_grad(a, b)[1]
     expected = (2.0 / 24) * (a.mean(0) - b.mean(0))
     assert np.allclose(g, expected[None, :], atol=1e-8)
 
