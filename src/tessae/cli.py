@@ -5,6 +5,7 @@ snapshot next to its outputs."""
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -18,8 +19,8 @@ from .batch_design import OPTIMAL_MAX_POINTS, lcm_assign, optimal_assign
 from .discrepancy import NumericalFailure
 from .seeding import derive_rng
 from .tessellation import CVT, E8, DegenerateRegionError, Tessellation, e8_tessellation, lloyd_cvt
-from .trainer import (TrainConfig, TrainingAborted, build_tessellation, require_nonnegative,
-                      train_baseline, train_twae, train_twae_regularized)
+from .trainer import (TrainConfig, TrainingAborted, build_tessellation, train_baseline,
+                      train_twae, train_twae_regularized)
 
 
 class CheckFailed(RuntimeError):
@@ -28,7 +29,7 @@ class CheckFailed(RuntimeError):
 
 # typed failures of a run, reported in one line with exit code 2
 _RUN_ERRORS = (TrainingAborted, ae.ForwardNumericalError, NumericalFailure,
-               DegenerateRegionError)
+               DegenerateRegionError, FloatingPointError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,15 +62,31 @@ def _read_config_file(path):
     return flags
 
 
-# numeric flags that must be finite and >= 0 -> their attribute in the parsed args
-_NONNEGATIVE = {"--lambda": "lam", "--alpha": "alpha", "--learning-rate": "learning_rate",
-                "--energy-tol": "energy_tol", "--seed": "seed"}
+def _ranged(parse, low=None, strict=False):
+    """An argparse type: parse's value of the text, refused unless it is
+    finite and >= low (> low if strict); a NaN fails the bound."""
+    def check(text):
+        value = parse(text)
+        if low is not None and not (value > low if strict else value >= low):
+            relation = ">" if strict else ">="
+            raise argparse.ArgumentTypeError(f"must be {relation} {low}, got {value}")
+        if not abs(value) < math.inf:  # NaN too; math.isfinite overflows on a huge int
+            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+        return value
+    check.__name__ = parse.__name__  # argparse says "invalid int value: 'x'"
+    return check
 
 
-def _check_nonnegative(args):
-    for flag, name in _NONNEGATIVE.items():
-        if getattr(args, name, None) is not None:
-            require_nonnegative(flag, getattr(args, name))
+_COUNT, _SEED = _ranged(int, 1), _ranged(int, 0)
+_FINITE, _FINITE_GE0, _FINITE_GT0 = _ranged(float), _ranged(float, 0), _ranged(float, 0, True)
+
+
+def _int_list(text):
+    """An argparse type: the comma-separated ints of the text, empty items skipped."""
+    try:
+        return [int(item) for item in text.split(",") if item]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated ints, got {text!r}") from None
 
 
 def _prepare_out(args):
@@ -85,36 +102,23 @@ def _write_tessellation(args, tess):
 
 
 def _load_dataset(args):
-    if args.count < 1 and args.dataset != "idx":
-        raise ValueError(f"--count must be >= 1, got {args.count}")
     if args.dataset == "ring":
         return datamod.gen_gaussian_ring(args.modes, args.radius, args.sigma,
                                          args.count, args.seed)
     if args.dataset == "ball":
-        if args.data_dim < 1:
-            raise ValueError(f"--data-dim must be >= 1, got {args.data_dim}")
         return datamod.gen_uniform_ball_dataset(args.data_dim, args.count, args.seed)
     if not args.idx_images:  # --dataset idx
         raise ValueError("--idx-images required for --dataset idx")
     return datamod.load_idx(args.idx_images, args.idx_labels)
 
 
-def _int_list(flag, text):
-    """The comma-separated ints of a flag's value, empty items skipped."""
-    try:
-        return [int(item) for item in text.split(",") if item]
-    except ValueError:
-        raise ValueError(f"{flag} must be comma-separated ints, got {text!r}") from None
-
-
 def _train_config(args, data_dim):
     lam = args.lam
     if lam is None:
         lam = 1.0 if args.estimator == "SW" else 0.01
-    hidden = _int_list("--hidden", args.hidden)
     return TrainConfig(
         m=args.m, chunk_size=args.n_chunk, epochs=args.epochs,
-        latent_dim=args.latent_dim, layer_sizes=[data_dim] + hidden,
+        latent_dim=args.latent_dim, layer_sizes=[data_dim] + args.hidden,
         lam=lam, alpha=args.alpha, estimator=args.estimator,
         estimator_config={"num_projections": args.projections},
         tessellation_kind=args.tessellation, seed=args.seed,
@@ -165,8 +169,7 @@ def cmd_gap(args):
 
 
 def cmd_rates(args):
-    grid = _int_list("--n-grid", args.n_grid)
-    r1, r2 = exp.rate_study_sw(args.dim, grid, args.trials, args.projections,
+    r1, r2 = exp.rate_study_sw(args.dim, args.n_grid, args.trials, args.projections,
                                args.seed, out_csv=os.path.join(args.out, "rates.csv"))
     print(f"rates: |sw2(Pn,Qn)-ref| slope={r1.slope:.3f}, "
           f"sw2(Pn,Pn') slope={r2.slope:.3f}")
@@ -191,10 +194,6 @@ def cmd_ineq(args):
 
 
 def cmd_varcheck(args):
-    if args.dim < 1:
-        raise ValueError(f"--dim must be >= 1, got {args.dim}")
-    if not np.isfinite(args.step_scale):
-        raise ValueError(f"--step-scale must be finite, got {args.step_scale}")
     res = exp.variance_check(args.dim, args.n, args.trials, args.step_scale,
                              args.seed, out_csv=os.path.join(args.out, "varcheck.csv"))
     print(f"varcheck: shared={res['mean_shared']:.6f} "
@@ -204,9 +203,7 @@ def cmd_varcheck(args):
 
 
 def cmd_assign_bench(args):
-    if args.dim < 1:
-        raise ValueError(f"--dim must be >= 1, got {args.dim}")
-    if min(args.n_points, args.m) < 1 or args.n_points % args.m:
+    if args.n_points % args.m:
         raise ValueError(f"--n-points {args.n_points} is not a positive multiple of --m {args.m}")
     rng = derive_rng(args.seed, 0)
     points = rng.standard_normal((args.n_points, args.dim))
@@ -238,75 +235,76 @@ def build_parser():
     def add(name, func, **kwargs):
         sp = sub.add_parser(name, parents=[common], **kwargs)
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=_SEED, default=0)
         sp.set_defaults(func=func)
         return sp
 
     sp = add("cvt", cmd_cvt, help="build and save a CVT of the unit ball")
-    sp.add_argument("--dim", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--mc-samples", type=int, default=None)
-    sp.add_argument("--max-iters", type=int, default=100)
-    sp.add_argument("--energy-tol", type=float, default=1e-4)
+    sp.add_argument("--dim", type=_COUNT, required=True)
+    sp.add_argument("--m", type=_COUNT, required=True)
+    sp.add_argument("--mc-samples", type=_COUNT, default=None)
+    sp.add_argument("--max-iters", type=_COUNT, default=100)
+    sp.add_argument("--energy-tol", type=_FINITE_GE0, default=1e-4)
 
     add("e8", cmd_e8, help="build and save the 241-region E8 tessellation")
 
     def add_data_args(sp):
         sp.add_argument("--dataset", choices=["ring", "ball", "idx"], default="ring")
-        sp.add_argument("--count", type=int, default=4000)
-        sp.add_argument("--modes", type=int, default=8)
-        sp.add_argument("--radius", type=float, default=1.0)
-        sp.add_argument("--sigma", type=float, default=0.1)
-        sp.add_argument("--data-dim", type=int, default=2)
+        sp.add_argument("--count", type=_COUNT, default=4000)
+        sp.add_argument("--modes", type=_COUNT, default=8)
+        sp.add_argument("--radius", type=_FINITE, default=1.0)
+        sp.add_argument("--sigma", type=_FINITE_GT0, default=0.1)
+        sp.add_argument("--data-dim", type=_COUNT, default=2)
         sp.add_argument("--idx-images")
         sp.add_argument("--idx-labels")
 
     sp = add("train", cmd_train, help="train an auto-encoder")
     add_data_args(sp)
     sp.add_argument("--mode", choices=["twae", "twae-reg", "baseline"], default="twae")
-    sp.add_argument("--m", type=int, default=20)
-    sp.add_argument("--n-chunk", type=int, default=200)
-    sp.add_argument("--epochs", type=int, default=10)
-    sp.add_argument("--latent-dim", type=int, default=2)
-    sp.add_argument("--hidden", default="64,64", help="comma-separated hidden widths")
-    sp.add_argument("--lambda", dest="lam", type=float, default=None,
+    sp.add_argument("--m", type=_COUNT, default=20)
+    sp.add_argument("--n-chunk", type=_COUNT, default=200)
+    sp.add_argument("--epochs", type=_COUNT, default=10)
+    sp.add_argument("--latent-dim", type=_COUNT, default=2)
+    sp.add_argument("--hidden", type=_int_list, default="64,64",
+                    help="comma-separated hidden widths")
+    sp.add_argument("--lambda", dest="lam", type=_FINITE_GE0, default=None,
                     help="latent weight; default 1 for SW, 0.01 for the others")
-    sp.add_argument("--alpha", type=float, default=0.2)
+    sp.add_argument("--alpha", type=_FINITE_GE0, default=0.2)
     sp.add_argument("--estimator", choices=ae.ESTIMATORS, default="SW")
-    sp.add_argument("--projections", type=int, default=1000)
+    sp.add_argument("--projections", type=_COUNT, default=1000)
     sp.add_argument("--tessellation", choices=[CVT, E8], default=CVT)
-    sp.add_argument("--learning-rate", type=float, default=1e-3)
+    sp.add_argument("--learning-rate", type=_FINITE_GE0, default=1e-3)
 
     sp = add("gap", cmd_gap, help="per-region prior-matching gap study")
     add_data_args(sp)
     sp.add_argument("--checkpoint", required=True, help="checkpoint path prefix")
     sp.add_argument("--tessellation", required=True, help="tessellation JSON path")
-    sp.add_argument("--n", type=int, default=50)
-    sp.add_argument("--trials", type=int, default=4)
-    sp.add_argument("--projections", type=int, default=256)
+    sp.add_argument("--n", type=_COUNT, default=50)
+    sp.add_argument("--trials", type=_COUNT, default=4)
+    sp.add_argument("--projections", type=_COUNT, default=256)
 
     sp = add("rates", cmd_rates, help="sliced-discrepancy convergence rates")
-    sp.add_argument("--dim", type=int, default=64)
-    sp.add_argument("--n-grid", default="32,64,128,256,512,1024,2048,4096")
-    sp.add_argument("--trials", type=int, default=20)
-    sp.add_argument("--projections", type=int, default=1000)
+    sp.add_argument("--dim", type=_COUNT, default=64)
+    sp.add_argument("--n-grid", type=_int_list, default="32,64,128,256,512,1024,2048,4096")
+    sp.add_argument("--trials", type=_COUNT, default=20)
+    sp.add_argument("--projections", type=_COUNT, default=1000)
 
     sp = add("ineq", cmd_ineq, help="deterministic inequality audits")
-    sp.add_argument("--n-points", type=int, default=128)
-    sp.add_argument("--dim", type=int, default=2)
-    sp.add_argument("--trials", type=int, default=100)
+    sp.add_argument("--n-points", type=_COUNT, default=128)
+    sp.add_argument("--dim", type=_COUNT, default=2)
+    sp.add_argument("--trials", type=_COUNT, default=100)
 
     sp = add("varcheck", cmd_varcheck, help="shared-batch variance check")
-    sp.add_argument("--dim", type=int, default=8)
-    sp.add_argument("--n", type=int, default=32)
-    sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--step-scale", type=float, default=0.1)
+    sp.add_argument("--dim", type=_COUNT, default=8)
+    sp.add_argument("--n", type=_COUNT, default=32)
+    sp.add_argument("--trials", type=_COUNT, default=100)
+    sp.add_argument("--step-scale", type=_FINITE, default=0.1)
 
     sp = add("assign-bench", cmd_assign_bench,
              help="least-cost vs optimal assignment timing/cost")
-    sp.add_argument("--n-points", type=int, default=20000)
-    sp.add_argument("--m", type=int, default=400)
-    sp.add_argument("--dim", type=int, default=64)
+    sp.add_argument("--n-points", type=_COUNT, default=20000)
+    sp.add_argument("--m", type=_COUNT, default=400)
+    sp.add_argument("--dim", type=_COUNT, default=64)
 
     return parser, sub.choices
 
@@ -322,9 +320,9 @@ def main(argv=None):
             if cfg_path is not None:
                 argv[1:1] = _read_config_file(cfg_path)
         args = parser.parse_args(argv)
-        _check_nonnegative(args)
         _prepare_out(args)
-        args.func(args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            args.func(args)
     except SystemExit as err:  # --help
         return err.code if err.code is not None else 0
     except CheckFailed as err:

@@ -56,7 +56,7 @@ def w2_1d_sorted(a, b):
 def directions(dim, count, rng):
     """count random unit directions in R^dim, shape (count, dim)."""
     if count < 1:
-        raise ValueError("num_projections must be >= 1")
+        raise ValueError(f"num_projections must be >= 1, got {count}")
     w = rng.standard_normal((count, dim))
     norms = np.linalg.norm(w, axis=1, keepdims=True)
     norms[norms == 0] = 1.0

@@ -64,11 +64,11 @@ def rate_study_sw(dim, n_grid, trials, num_projections=1000, seed=0,
     """
     n_grid = sorted(int(n) for n in n_grid)
     if dim < 1:
-        raise ValueError("dim must be >= 1")
+        raise ValueError(f"dim must be >= 1, got {dim}")
     if trials < 20:
-        raise ValueError("trials must be >= 20")
+        raise ValueError(f"trials must be >= 20, got {trials}")
     if not n_grid or n_grid[0] < 32 or n_grid[-1] > 8192:
-        raise ValueError("n_grid must be nonempty and lie in [32, 8192]")
+        raise ValueError(f"n_grid must be nonempty and lie in [32, 8192], got {n_grid}")
     dirs = directions(dim, num_projections, derive_rng(seed, 0))
     ref_rng = derive_rng(seed, 1)
     reference = _sw2_shared_dirs(ref_rng.standard_normal((ref_n, dim)),
@@ -107,9 +107,10 @@ def eq19_check(n_points, m, dim, trials, seed=0, out_csv=None):
     Returns {"passed", "violations", "margins"}.
     """
     if not 1 <= n_points <= OPTIMAL_MAX_POINTS or n_points % m != 0:
-        raise ValueError(f"n_points must be in [1, {OPTIMAL_MAX_POINTS}] and divisible by m")
+        raise ValueError(f"n_points must be in [1, {OPTIMAL_MAX_POINTS}] and divisible by m, "
+                         f"got {n_points} and m = {m}")
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ValueError(f"trials must be >= 1, got {trials}")
     n = n_points // m
     if m == 1:
         generators = np.zeros((1, dim))
@@ -185,9 +186,9 @@ def variance_check(dim, n, trials, step_scale=0.1, seed=0, out_csv=None):
     the two batches coincide versus when they are independent.
     """
     if trials < 100:
-        raise ValueError("trials must be >= 100")
+        raise ValueError(f"trials must be >= 100, got {trials}")
     if not 1 <= n <= _POP_SIZE:
-        raise ValueError(f"n must be in [1, {_POP_SIZE}]")
+        raise ValueError(f"n must be in [1, {_POP_SIZE}], got {n}")
     rng = derive_rng(seed, 30)
     pop = rng.standard_normal((_POP_SIZE, dim))
 
@@ -228,9 +229,9 @@ def gap_study(params, tess, dataset, n, trials=4, num_projections=256,
     "mean_gap"}.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError(f"n must be >= 1, got {n}")
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ValueError(f"trials must be >= 1, got {trials}")
     m = tess.region_count
     use = m * n
     if len(dataset) < use:

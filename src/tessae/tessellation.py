@@ -90,8 +90,9 @@ def sample_unit_ball(dim, count, seed):
 
     Isotropic Gaussian direction, radius U^(1/dim); exact for any dim.
     """
-    if dim < 1 or count < 1:
-        raise ValueError("dim and count must be positive")
+    for name, value in (("dim", dim), ("count", count)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((count, dim))
     norms = np.linalg.norm(x, axis=1, keepdims=True)
@@ -154,11 +155,12 @@ def lloyd_cvt(dim, m, mc_samples_per_iter=None, max_iters=100, energy_tol=1e-4, 
     """
     for name, count in (("dim", dim), ("m", m), ("max_iters", max_iters)):
         if count < 1:
-            raise ValueError(f"{name} must be >= 1")
+            raise ValueError(f"{name} must be >= 1, got {count}")
     if mc_samples_per_iter is None:
         mc_samples_per_iter = max(200 * m * dim, 100 * m)
     if mc_samples_per_iter < 100 * m:
-        raise ValueError("mc_samples_per_iter must be >= 100*m")
+        raise ValueError(f"mc_samples_per_iter must be >= 100*m = {100 * m}, "
+                         f"got {mc_samples_per_iter}")
     rng = np.random.default_rng(seed)
     gens = sample_unit_ball(dim, m, rng)
     # the energy sequence is monitored on one fixed pool so that iteration

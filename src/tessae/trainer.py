@@ -20,14 +20,6 @@ _PRIOR, _EST, _REGION_SHUFFLE, _BATCH_SHUFFLE = 0, 1, 2, 3
 _SUPPORT_IDX, _SUPPORT_PRIOR, _SUPPORT_EST = 4, 5, 6
 
 
-def require_nonnegative(name, value):
-    """Raise a ValueError naming name unless value is finite and >= 0."""
-    if not value >= 0:  # also rejects NaN
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    if value == np.inf:
-        raise ValueError(f"{name} must be finite, got {value}")
-
-
 @dataclass
 class TrainConfig:
     m: int
@@ -46,9 +38,13 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("m", "chunk_size", "epochs", "latent_dim"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("lam", "alpha", "learning_rate"):
-            require_nonnegative(name, getattr(self, name))
+            value = getattr(self, name)
+            if not value >= 0:  # also rejects NaN
+                raise ValueError(f"{name} must be >= 0, got {value}")
+            if value == np.inf:
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
         if self.tessellation_kind not in (CVT, E8):

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from idx_fixtures import write_idx_images
 
 from tessae.autoencoder import init_params, save_checkpoint
@@ -303,57 +309,64 @@ def test_gap_wrong_typed_json_is_one_line_exit_2(tmp_path, capsys, which, key, v
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["train", *SMALL_TRAIN, "--epochs", "0"], "epochs must be >= 1"),
-    (["train", *SMALL_TRAIN, "--n-chunk", "0"], "chunk_size must be >= 1"),
+    (["train", *SMALL_TRAIN, "--epochs", "0"], "argument --epochs: must be >= 1, got 0"),
+    (["train", *SMALL_TRAIN, "--n-chunk", "0"], "argument --n-chunk: must be >= 1, got 0"),
     (["train", *SMALL_TRAIN, "--epochs", "1", "--projections", "0"],
-     "num_projections must be >= 1"),
-    (["cvt", "--dim", "2", "--m", "4", "--max-iters", "0"], "max_iters must be >= 1"),
-    (["gap", "--trials", "0"], "trials must be >= 1"),
-    (["gap", "--n", "0"], "n must be >= 1"),
-    (["gap", "--projections", "0"], "num_projections must be >= 1"),
-    (["varcheck", "--n", "0"], "n must be in [1, 512]"),
-    (["varcheck", "--n", "513"], "n must be in [1, 512]"),
-    (["ineq", "--trials", "0"], "trials must be >= 1"),
+     "argument --projections: must be >= 1, got 0"),
+    (["cvt", "--dim", "2", "--m", "4", "--max-iters", "0"],
+     "argument --max-iters: must be >= 1, got 0"),
+    (["gap", "--trials", "0"], "argument --trials: must be >= 1, got 0"),
+    (["gap", "--n", "0"], "argument --n: must be >= 1, got 0"),
+    (["gap", "--projections", "0"], "argument --projections: must be >= 1, got 0"),
+    (["varcheck", "--n", "0"], "argument --n: must be >= 1, got 0"),
+    (["varcheck", "--n", "513"], "n must be in [1, 512], got 513"),
+    (["ineq", "--trials", "0"], "argument --trials: must be >= 1, got 0"),
     (["train", "--count", "100", "--n-chunk", "200"],
      "dataset of 100 points is smaller than one chunk of 200"),
     (["train", *SMALL_TRAIN, "--hidden", "0"],
      "layer_sizes nonempty with widths >= 1 and latent_dim >= 1 required, got [2, 0] and 2"),
     (["train", *SMALL_TRAIN, "--hidden", "64,-3"],
      "layer_sizes nonempty with widths >= 1 and latent_dim >= 1 required, got [2, 64, -3] and 2"),
-    (["train", *SMALL_TRAIN, "--latent-dim", "0"], "latent_dim must be >= 1"),
-    (["cvt", "--dim", "0", "--m", "4"], "dim must be >= 1"),
-    (["ineq", "--n-points", "0"], "n_points must be in [1, 256] and divisible by m"),
+    (["train", *SMALL_TRAIN, "--latent-dim", "0"], "argument --latent-dim: must be >= 1, got 0"),
+    (["cvt", "--dim", "0", "--m", "4"], "argument --dim: must be >= 1, got 0"),
+    (["ineq", "--n-points", "0"], "argument --n-points: must be >= 1, got 0"),
     (["gap", "--count", "400", "--n", "50"],
      "dataset of 400 points is smaller than m*n = 20*50 = 1000"),
     (["ineq", "--n-points", "6"], "--n-points must divide by 8 (m = 2, 4, 8), got 6"),
     (["assign-bench", "--n-points", "1001", "--m", "400"],
      "--n-points 1001 is not a positive multiple of --m 400"),
     (["assign-bench", "--n-points", "0", "--m", "400"],
-     "--n-points 0 is not a positive multiple of --m 400"),
-    (["train", *SMALL_TRAIN, "--lambda", "-1"], "--lambda must be >= 0, got -1.0"),
-    (["train", *SMALL_TRAIN, "--learning-rate", "-1"], "--learning-rate must be >= 0, got -1.0"),
-    (["train", *SMALL_TRAIN, "--alpha", "nan"], "--alpha must be >= 0, got nan"),
-    (["rates", "--n-grid", "32,x"], "--n-grid must be comma-separated ints, got '32,x'"),
-    (["rates", "--n-grid", ","], "n_grid must be nonempty and lie in [32, 8192]"),
+     "argument --n-points: must be >= 1, got 0"),
+    (["train", *SMALL_TRAIN, "--lambda", "-1"], "argument --lambda: must be >= 0, got -1.0"),
+    (["train", *SMALL_TRAIN, "--learning-rate", "-1"],
+     "argument --learning-rate: must be >= 0, got -1.0"),
+    (["train", *SMALL_TRAIN, "--alpha", "nan"], "argument --alpha: must be >= 0, got nan"),
+    (["rates", "--n-grid", "32,x"],
+     "argument --n-grid: must be comma-separated ints, got '32,x'"),
+    (["rates", "--n-grid", ","], "n_grid must be nonempty and lie in [32, 8192], got []"),
     (["train", *SMALL_TRAIN, "--hidden", "64,x"],
-     "--hidden must be comma-separated ints, got '64,x'"),
-    (["cvt", "--dim", "2", "--m", "3", "--energy-tol", "nan"], "--energy-tol must be >= 0, got nan"),
-    (["varcheck", "--step-scale", "nan"], "--step-scale must be finite, got nan"),
-    (["varcheck", "--dim", "0"], "--dim must be >= 1, got 0"),
-    (["train", "--count", "-5"], "--count must be >= 1, got -5"),
-    (["rates", "--dim", "0"], "dim must be >= 1"),
-    (["train", *SMALL_TRAIN, "--radius", "nan"], "radius must be finite, got nan"),
-    (["train", *SMALL_TRAIN, "--sigma", "inf"], "sigma must be finite, got inf"),
-    (["train", *SMALL_TRAIN, "--lambda", "inf"], "--lambda must be finite, got inf"),
-    (["train", *SMALL_TRAIN, "--learning-rate", "inf"], "--learning-rate must be finite, got inf"),
-    (["cvt", "--dim", "2", "--m", "3", "--energy-tol", "inf"], "--energy-tol must be finite, got inf"),
-    (["cvt", "--dim", "2", "--m", "3", "--seed", "-1"], "--seed must be >= 0, got -1"),
+     "argument --hidden: must be comma-separated ints, got '64,x'"),
+    (["cvt", "--dim", "2", "--m", "3", "--energy-tol", "nan"],
+     "argument --energy-tol: must be >= 0, got nan"),
+    (["varcheck", "--step-scale", "nan"],
+     "argument --step-scale: must be finite, got nan"),
+    (["varcheck", "--dim", "0"], "argument --dim: must be >= 1, got 0"),
+    (["train", "--count", "-5"], "argument --count: must be >= 1, got -5"),
+    (["rates", "--dim", "0"], "argument --dim: must be >= 1, got 0"),
+    (["train", *SMALL_TRAIN, "--radius", "nan"], "argument --radius: must be finite, got nan"),
+    (["train", *SMALL_TRAIN, "--sigma", "inf"], "argument --sigma: must be finite, got inf"),
+    (["train", *SMALL_TRAIN, "--lambda", "inf"], "argument --lambda: must be finite, got inf"),
+    (["train", *SMALL_TRAIN, "--learning-rate", "inf"],
+     "argument --learning-rate: must be finite, got inf"),
+    (["cvt", "--dim", "2", "--m", "3", "--energy-tol", "inf"],
+     "argument --energy-tol: must be finite, got inf"),
+    (["cvt", "--dim", "2", "--m", "3", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
     (["train", *SMALL_TRAIN, "--dataset", "ball", "--data-dim", "0"],
-     "--data-dim must be >= 1, got 0"),
-    (["assign-bench", "--dim", "-1"], "--dim must be >= 1, got -1"),
-    (["assign-bench", "--dim", "0"], "--dim must be >= 1, got 0"),
-    (["train", *SMALL_TRAIN, "--modes", "0"], "modes must be >= 1, got 0"),
-    (["train", *SMALL_TRAIN, "--sigma", "-1"], "sigma must be > 0, got -1.0"),
+     "argument --data-dim: must be >= 1, got 0"),
+    (["assign-bench", "--dim", "-1"], "argument --dim: must be >= 1, got -1"),
+    (["assign-bench", "--dim", "0"], "argument --dim: must be >= 1, got 0"),
+    (["train", *SMALL_TRAIN, "--modes", "0"], "argument --modes: must be >= 1, got 0"),
+    (["train", *SMALL_TRAIN, "--sigma", "-1"], "argument --sigma: must be > 0, got -1.0"),
 ], ids=["train-epochs", "train-n-chunk", "train-projections", "cvt-max-iters",
         "gap-trials", "gap-n", "gap-projections", "varcheck-n", "varcheck-n-above-population",
         "ineq-trials", "train-dataset-below-chunk", "train-hidden-0", "train-hidden-negative",
@@ -376,3 +389,101 @@ def test_bad_count_is_one_line_exit_2(tmp_path, capsys, argv, message):
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not list(tmp_path.rglob("*.csv"))  # rejected before any audit or benchmark
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", *SMALL_TRAIN, "--epochs", "1", "--lambda", "1e308"],
+    ["train", *SMALL_TRAIN, "--epochs", "1", "--learning-rate", "1e308"],
+    ["varcheck", "--step-scale", "1e308"],
+], ids=["train-lambda-1e308", "train-learning-rate-1e308", "varcheck-step-scale-1e308"])
+def test_numeric_overflow_is_one_line_exit_2(tmp_path, capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([*argv, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert not caught
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: FloatingPointError: ")
+
+
+INT_VALUES = ["-1", "0", "1", "x", "", "1e3"]
+FLOAT_VALUES = ["-1", "0", "1", "nan", "inf", "-inf", "1e308", "x"]
+SEED_VALUES = INT_VALUES + [str(2**64), str(10**30)]
+
+
+# subcommand -> (small base flags, int flags, float flags); gap also reads
+# the files of gap_files
+CONTRACT_GRAMMAR = {
+    "cvt": ({"dim": 2, "m": 3, "max-iters": 3},
+            ["dim", "m", "mc-samples", "max-iters"], ["energy-tol"]),
+    "e8": ({}, [], []),
+    "train": ({"count": 80, "n-chunk": 40, "m": 4, "epochs": 1, "hidden": 8,
+               "projections": 8},
+              ["count", "modes", "data-dim", "m", "n-chunk", "epochs", "latent-dim",
+               "projections"],
+              ["radius", "sigma", "lambda", "alpha", "learning-rate"]),
+    "gap": ({"count": 40, "n": 10, "trials": 2, "projections": 8},
+            ["count", "modes", "data-dim", "n", "trials", "projections"],
+            ["radius", "sigma"]),
+    "rates": ({"dim": 2, "n-grid": "32,64", "trials": 20, "projections": 4},
+              ["dim", "n-grid", "trials", "projections"], []),
+    "ineq": ({"n-points": 8, "dim": 2, "trials": 1}, ["n-points", "dim", "trials"], []),
+    "varcheck": ({"dim": 2, "n": 8, "trials": 100}, ["dim", "n", "trials"], ["step-scale"]),
+    "assign-bench": ({"n-points": 8, "m": 2, "dim": 2}, ["n-points", "m", "dim"], []),
+}
+
+CONTRACT_CASES = [(command, "seed", SEED_VALUES) for command in CONTRACT_GRAMMAR] + [
+    (command, flag, values)
+    for command, (_, int_flags, float_flags) in CONTRACT_GRAMMAR.items()
+    for flags, values in ((int_flags, INT_VALUES), (float_flags, FLOAT_VALUES))
+    for flag in flags]
+
+
+def run_captured(argv):
+    """main's exit code and its stderr, with each warning it raised as a
+    `Warning` line of that stderr."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, err.getvalue() + "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+
+
+@pytest.fixture(scope="module")
+def gap_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("gap_files")
+    save_checkpoint(init_params([2, 8], 2, seed=0), str(tmp / "ckpt"))
+    (tmp / "tess.json").write_text(lloyd_cvt(2, 4, seed=0)[0].to_json())
+    return {"checkpoint": tmp / "ckpt", "tessellation": tmp / "tess.json"}
+
+
+@seed(17)
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.sampled_from(CONTRACT_CASES).flatmap(
+    lambda case: st.tuples(st.just(case[:2]), st.sampled_from(case[2]))))
+def test_one_flag_value_keeps_the_exit_code_contract(gap_files, case):
+    """Every subcommand, with one numeric flag set to a bad, edge or good
+    value on its small base flags, exits 0, 1 or 2; a failure is one
+    `error:` or `check failed:` line, with no traceback and no warning, and
+    the value reads the same as `--flag=value` on the command line and as a
+    `flag = value` config line.  (`--flag=value`, because argparse reads a
+    separate `-inf` as an option.)  Huge ints go only to --seed: no flag has
+    an upper cap, so a huge --count, --m or --trials would allocate or loop
+    without bound."""
+    (command, flag), value = case
+    base = {**CONTRACT_GRAMMAR[command][0], **(gap_files if command == "gap" else {})}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = f"{tmp}/run.cfg"
+        with open(cfg, "w") as fh:
+            fh.writelines(f"{key} = {val}\n" for key, val in [*base.items(), (flag, value)])
+        flag_form = run_captured([command, *(f"--{key}={val}" for key, val in base.items()),
+                                  f"--{flag}={value}", "--out", f"{tmp}/flag"])
+        config_form = run_captured([command, "--config", cfg, "--out", f"{tmp}/config"])
+    assert flag_form == config_form
+    code, err = flag_form
+    assert code in (0, 1, 2)
+    if code:
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(("error:", "check failed:")), err
+        assert "Traceback" not in err and "Warning" not in err, err
