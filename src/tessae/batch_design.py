@@ -8,6 +8,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 OPTIMAL_MAX_POINTS = 256  # optimal_assign's limit: its cost matrix holds N^2 floats
+DIST_BLOCK = 1 << 15  # sq_dists adds the norms in row blocks of at most this many entries
 
 
 @dataclass(frozen=True)
@@ -33,10 +34,22 @@ class AssignmentPlan:
 
 def sq_dists(a, b):
     """Squared Euclidean distances between the rows of a and of b, shape
-    (len(a), len(b)), clamped at 0 against cancellation."""
-    d2 = ((a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
-          - 2.0 * a @ b.T)
-    return np.maximum(d2, 0.0)
+    (len(a), len(b)), clamped at 0 against cancellation.
+
+    Computed as (||a_i||^2 + ||b_j||^2) - 2 a_i.b_j in place in the product
+    matrix, the norm sums formed in one reused block of at most DIST_BLOCK
+    entries, so that the result is the only (len(a), len(b)) array."""
+    out = 2.0 * a @ b.T
+    aa = (a * a).sum(axis=1)
+    bb = (b * b).sum(axis=1)
+    rows = max(1, DIST_BLOCK // max(1, len(b)))
+    buf = np.empty((min(rows, len(a)), len(b)), dtype=out.dtype)
+    for i in range(0, len(a), rows):
+        block = out[i:i + rows]
+        norms = np.add(aa[i:i + rows, None], bb[None, :], out=buf[:len(block)])
+        np.subtract(norms, block, out=block)
+        np.maximum(block, 0.0, out=block)
+    return out
 
 
 def distance_matrix(points, generators):
@@ -54,7 +67,10 @@ def _finalize(points, generators, assignment, capacity):
     counts = np.bincount(assignment, minlength=len(generators))
     if np.any(counts != capacity):
         raise RuntimeError("infeasible plan: capacities violated")
-    cost = float(((points - generators[assignment]) ** 2).sum())
+    diff = generators[assignment]
+    np.subtract(points, diff, out=diff)
+    np.square(diff, out=diff)
+    cost = float(diff.sum())
     return AssignmentPlan(assignment=assignment, capacity=capacity, cost=cost)
 
 
@@ -64,30 +80,40 @@ def lcm_assign(points, generators, capacity):
     assign the point, mask its row, and mask a column once it holds
     `capacity` points.
 
-    A heap holds one entry (d, i, j) per unassigned row i: the smallest
-    (distance, column) of row i among the columns open when it was taken.
-    Columns only ever close, so when the smallest entry's column is open
-    it is the globally smallest live entry; when it has closed, the row's
-    entry becomes the argmin of its distances plus `closed` (inf on full
-    columns), its smallest open (distance, column)."""
+    Every row starts with its smallest entry (d, i, j); these come in
+    (d, i) order from one presorted array. Columns only ever close, so when
+    the smallest live entry's column is open it is the globally smallest
+    unmasked entry; when it has closed, the row's entry becomes the argmin
+    of its distances plus `closed` (inf on full columns), its smallest open
+    (distance, column), and goes onto a heap of such advanced rows. The next
+    entry is the smaller head of the two, in (d, i, j) order. The one
+    (N, m) array is the distance matrix."""
     m = len(generators)
     n_points = len(points)
     if n_points != capacity * m:
         raise ValueError(f"need N = capacity * m, got N={n_points}, "
                          f"capacity={capacity}, m={m}")
     dmat = distance_matrix(points, generators)
-    if not np.isfinite(dmat).all():
+    # distances are >= 0, so the max is finite iff no entry is inf or nan
+    if not np.isfinite(dmat.max(initial=0.0)):
         raise ValueError("lcm_assign needs finite squared distances")
-    heap = list(zip(dmat.min(axis=1).tolist(), range(n_points),
-                    dmat.argmin(axis=1).tolist()))
-    heapq.heapify(heap)
-    assignment = np.full(n_points, -1, dtype=int)
+    cols = dmat.argmin(axis=1)
+    mins = dmat[np.arange(n_points), cols]
+    order = np.lexsort((np.arange(n_points), mins))
+    fresh = list(zip(mins[order].tolist(), order.tolist(), cols[order].tolist()))
+    fresh.append((np.inf, n_points, 0))  # sentinel: above every live entry
+    heap = []
+    assignment = [0] * n_points
     col_slots = [capacity] * m
     closed = np.zeros(m)
-    while heap:
-        _, i, j = heap[0]
+    p = 0
+    while p < n_points or heap:
+        if heap and heap[0] < fresh[p]:
+            _, i, j = heapq.heappop(heap)
+        else:
+            _, i, j = fresh[p]
+            p += 1
         if col_slots[j]:
-            heapq.heappop(heap)
             assignment[i] = j
             col_slots[j] -= 1
             if not col_slots[j]:
@@ -95,9 +121,10 @@ def lcm_assign(points, generators, capacity):
             continue
         row = dmat[i] + closed
         k = int(row.argmin())
-        heapq.heapreplace(heap, (float(row[k]), i, k))
+        heapq.heappush(heap, (float(row[k]), i, k))
     return _finalize(np.asarray(points, dtype=float),
-                     np.asarray(generators, dtype=float), assignment, capacity)
+                     np.asarray(generators, dtype=float),
+                     np.array(assignment, dtype=int), capacity)
 
 
 def optimal_assign(points, generators, capacity):

@@ -117,7 +117,13 @@ def _nearest(points, g):
     # ||p - g||^2 = ||p||^2 - 2 p.g + ||g||^2; ||p||^2 is constant per row.
     # Not sq_dists: adding the row term changes the rounding, hence ties
     gg = (g * g).sum(axis=1)
-    return _blockwise(points, g, lambda p: np.argmin(gg - 2.0 * p @ g.T, axis=1), np.intp)
+
+    def label(p):
+        h = 2.0 * p @ g.T
+        np.subtract(gg, h, out=h)
+        return h.argmin(axis=1)
+
+    return _blockwise(points, g, label, np.intp)
 
 
 def _min_sq_dists(points, g):

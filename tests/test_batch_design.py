@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tessae import batch_design
 from tessae.batch_design import (_finalize, distance_matrix, lcm_assign,
                                  optimal_assign, sq_dists)
 
@@ -66,6 +68,21 @@ def test_sq_dists_clamps_cancellation():
     d2 = sq_dists(a, a)
     assert d2.min() == 0.0
     assert d2[1, 0] == pytest.approx(((a[0] - a[1]) ** 2).sum())
+
+
+@pytest.mark.parametrize("rows", [1, 7, 60])
+def test_sq_dists_blocks_equal_one_shot(monkeypatch, rows):
+    # 53 rows: no multiple of 7, fewer than 60; rows 0-12 repeat b at a
+    # scale where the expanded form cancels below 0
+    rng = np.random.default_rng(rows)
+    b = rng.standard_normal((13, 4)) * 1e3
+    a = np.concatenate([b, rng.standard_normal((40, 4))])
+    raw = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * a @ b.T
+    assert (raw < 0).any()
+    monkeypatch.setattr(batch_design, "DIST_BLOCK", rows * len(b))
+    got = sq_dists(a, b)
+    assert got.tobytes() == np.maximum(raw, 0.0).tobytes()
+    assert got.min() == 0.0
 
 
 def test_finalize_rejects_infeasible_plan():
@@ -180,6 +197,39 @@ def test_cost_self_consistency():
     for plan in (lcm_assign(z, g, 3), optimal_assign(z, g, 3)):
         recomputed = ((z - g[plan.assignment]) ** 2).sum()
         assert abs(plan.cost - recomputed) <= 1e-12
+
+
+@pytest.mark.parametrize("advanced_first", [True, False])
+def test_lcm_tie_between_advanced_and_presorted_rows(advanced_first):
+    # Row a (at 1) loses column 0 to the row at 0 and advances to column 1
+    # at distance 81, which is exactly the first entry of row b (at 19), not
+    # yet taken. The tie goes to the smaller row index, which takes column 1;
+    # the other advances to column 2.
+    a, b = (1, 2) if advanced_first else (2, 1)
+    z = np.zeros((3, 1))
+    z[a], z[b] = 1.0, 19.0
+    g = np.array([[0.0], [10.0], [100.0]])
+    plan = lcm_assign(z, g, 1)
+    walk = global_walk_assign(z, g, 1)
+    assert np.array_equal(plan.assignment, walk.assignment)
+    assert plan.cost == walk.cost
+    assert plan.assignment[0] == 0
+    assert plan.assignment[1] == 1 and plan.assignment[2] == 2
+
+
+def test_lcm_assign_memory_is_bounded():
+    # the distance matrix is the one (N, m) array: with the norms added in
+    # whole-matrix temporaries the call peaked at about 2.2 N*m*8 bytes
+    rng = np.random.default_rng(8)
+    z = rng.standard_normal((4000, 64))
+    g = 0.1 * rng.standard_normal((400, 64))
+    tracemalloc.start()
+    try:
+        lcm_assign(z, g, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 4000 * 400 * 8
 
 
 @st.composite
