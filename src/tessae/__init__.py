@@ -11,7 +11,8 @@ from .discrepancy import (gsw2_value_and_grad, gw2, gw2_value_and_grad, max_sw2,
 from .experiments import (RateStudyResult, eq19_check, gap_study, rate_study_sw,
                           theorem6_check, variance_check)
 from .tessellation import (Tessellation, cvt_energy, e8_roots, e8_tessellation,
-                           lloyd_cvt, regions_of, sample_region, sample_unit_ball)
+                           lloyd_cvt, regions_of, sample_region, sample_regions,
+                           sample_unit_ball)
 from .trainer import (MetricsLog, TrainConfig, build_tessellation,
                       train_baseline, train_twae, train_twae_regularized)
 

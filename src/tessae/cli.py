@@ -165,7 +165,8 @@ def cmd_gap(args):
                            out_csv=os.path.join(args.out, "gap.csv"))
     print(f"gap: mean_per_region_gap={result['mean_gap']:.6f} "
           f"global={result['global']:.6f} "
-          f"global_baseline={result['global_baseline']:.6f}")
+          f"global_baseline={result['global_baseline']:.6f} "
+          f"topped_up={result['topped_up']}")
 
 
 def cmd_rates(args):

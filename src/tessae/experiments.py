@@ -3,7 +3,6 @@ inequality audits, the shared-batch variance check, and the per-region
 prior-matching gap study.  Each harness can write a CSV artifact."""
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -13,7 +12,7 @@ from .data import write_csv
 from .discrepancy import (directions, sorted_projections, sq_diff_mean, sw2_projected,
                           wasserstein_exact)
 from .seeding import derive_rng
-from .tessellation import lloyd_cvt, sample_region, sample_unit_ball
+from .tessellation import lloyd_cvt, sample_regions, sample_unit_ball
 
 _DIR_CHUNK = 256  # directions per sw2_projected call in _sw2_shared_dirs
 _POP_SIZE = 512  # surrogate population of variance_check
@@ -140,7 +139,12 @@ def eq19_check(n_points, m, dim, trials, seed=0, out_csv=None):
 
 def theorem6_check(n_grid, dims, trials, seed=0, out_csv=None):
     """Trace bound audit: for n >= 5, exact squared W2 of two n-point sets
-    never exceeds 2(n-1)/(n-4) times the summed covariance traces."""
+    never exceeds the squared mean shift plus 2(n-1)/(n-4) times the summed
+    covariance traces.
+
+    The independent coupling gives W2^2 <= ||mean a - mean b||^2
+    + (n-1)/n (tr Sa + tr Sb), and (n-1)/n <= 2(n-1)/(n-4).  Without the
+    shift term the bound fails on sets with a large enough mean gap."""
     if isinstance(dims, int):
         dims = [dims]
     if any(n < 5 for n in n_grid):
@@ -164,7 +168,8 @@ def theorem6_check(n_grid, dims, trials, seed=0, out_csv=None):
                     a = rng.standard_normal((n, dim)) * rng.uniform(0.1, 3.0, size=dim)
                     b = sample_unit_ball(dim, n, rng)
                 w = wasserstein_exact(a, b)[0]
-                bound = (2.0 * (n - 1) / (n - 4)) * (
+                shift = a.mean(axis=0) - b.mean(axis=0)
+                bound = shift @ shift + (2.0 * (n - 1) / (n - 4)) * (
                     np.trace(np.cov(a.T).reshape(dim, dim))
                     + np.trace(np.cov(b.T).reshape(dim, dim)))
                 ok = w <= bound + 1e-9
@@ -226,7 +231,13 @@ def gap_study(params, tess, dataset, n, trials=4, num_projections=256,
     """Per-region and global sliced discrepancies between encoded data and
     region-restricted prior samples, with same-prior baselines at both
     scales.  Returns {"regions": [...], "global", "global_baseline",
-    "mean_gap"}.
+    "mean_gap", "topped_up"}.
+
+    Each trial fills every region from one labelled prior pool,
+    sample_regions(tess, 2n, ...): a region's first n points are its prior
+    sample, its next n the baseline's.  "topped_up" counts the prior points,
+    over all trials, that came from sample_region because the pool left
+    their region short.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -238,28 +249,30 @@ def gap_study(params, tess, dataset, n, trials=4, num_projections=256,
         raise ValueError(f"dataset of {len(dataset)} points is smaller than "
                          f"m*n = {m}*{n} = {use}")
     z = encode(params, dataset.points[:use])
-    plan = lcm_assign(z, tess.generators, n)
-    # each region, then the whole ball: points, prior sampler, stream keys
-    parts = [(x, partial(sample_region, tess, j, n), (40, j), (41, j))
-             for j, x in enumerate(plan.grouped(z))]
-    parts.append((z, partial(sample_unit_ball, tess.dim, use), (42,), (43,)))
-    means = []  # [sw2, baseline] per part
-    for x, draw_prior, prior_key, dirs_key in parts:
-        vals, base = [], []
-        for t in range(trials):
-            rng = derive_rng(seed, *prior_key, t)
-            prior, prior_b = draw_prior(rng), draw_prior(rng)
+    clusters = lcm_assign(z, tess.generators, n).grouped(z)
+    pairs = np.empty((m + 1, 2, trials))  # [sw2, baseline] per part and trial
+    topped_up = 0
+    for t in range(trials):
+        regional, topped = sample_regions(tess, 2 * n, derive_rng(seed, 40, t))
+        topped_up += topped
+        ball_rng = derive_rng(seed, 42, t)
+        whole = [sample_unit_ball(tess.dim, use, ball_rng) for _ in range(2)]
+        # each region, then the whole ball: points, two prior samples, directions key
+        parts = [(x, p[:n], p[n:], (41, j)) for j, (x, p) in enumerate(zip(clusters, regional))]
+        parts.append((z, *whole, (43,)))
+        for j, (x, prior, prior_b, dirs_key) in enumerate(parts):
             # one direction set and one sort of prior serve both discrepancies
             dirs = directions(x.shape[1], num_projections, derive_rng(seed, *dirs_key, t))
             pp = sorted_projections(prior, dirs)
-            vals.append(sq_diff_mean(sorted_projections(x, dirs), pp, np.empty_like(pp)))
+            pairs[j, 0, t] = sq_diff_mean(sorted_projections(x, dirs), pp, np.empty_like(pp))
             # pp is not read again, so it takes the transposed squares
-            base.append(sq_diff_mean(sorted_projections(prior_b, dirs), pp, pp))
-        means.append([float(np.mean(vals)), float(np.mean(base))])
+            pairs[j, 1, t] = sq_diff_mean(sorted_projections(prior_b, dirs), pp, pp)
+    means = pairs.mean(axis=2).tolist()
     if out_csv:
         write_csv(out_csv, ["region", "sw2", "baseline"],
                   [*([j, *pair] for j, pair in enumerate(means[:-1])), ["global", *means[-1]]])
     return {"regions": [{"region": j, "sw2": sw, "baseline": bl}
                         for j, (sw, bl) in enumerate(means[:-1])],
             "global": means[-1][0], "global_baseline": means[-1][1],
-            "mean_gap": float(np.mean([sw - bl for sw, bl in means[:-1]]))}
+            "mean_gap": float(np.mean([sw - bl for sw, bl in means[:-1]])),
+            "topped_up": topped_up}

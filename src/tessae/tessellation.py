@@ -131,6 +131,13 @@ def _min_sq_dists(points, g):
     return _blockwise(points, g, lambda p: sq_dists(p, g).min(axis=1), float)
 
 
+def _group_rows(rows, labels, m):
+    """The rows labelled 0, ..., m-1, one array per label, each in the rows'
+    original order: one stable argsort, as AssignmentPlan.grouped."""
+    return np.split(rows[np.argsort(labels, kind="stable")],
+                    np.cumsum(np.bincount(labels, minlength=m))[:-1])
+
+
 def regions_of(tess, points):
     """Region index for every row of points (ties to the lowest index)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -181,10 +188,7 @@ def lloyd_cvt(dim, m, mc_samples_per_iter=None, max_iters=100, energy_tol=1e-4, 
             raise RuntimeError("Lloyd energy increased beyond MC tolerance")
         energies.append(energy)
         pool = sample_unit_ball(dim, mc_samples_per_iter, rng)
-        labels = _nearest(pool, gens)
-        # region i's pool rows in their original order, as AssignmentPlan.grouped
-        groups = np.split(pool[np.argsort(labels, kind="stable")],
-                          np.cumsum(np.bincount(labels, minlength=m))[:-1])
+        groups = _group_rows(pool, _nearest(pool, gens), m)
         for i, group in enumerate(groups):  # labels are taken, so gens is overwritten in place
             if len(group):
                 gens[i] = group.mean(axis=0)
@@ -314,7 +318,9 @@ def sample_region(tess, region_index, count, seed):
     points, and a round that keeps fewer than count costs a whole new round,
     so the points used per draw fall below 1/m (0.034 on the m=20 ring).
     Aborts if the observed acceptance drops below 1/(50 m) over a
-    one-million-draw window.
+    one-million-draw window.  This per-region loop serves the trainers,
+    one batch per step, and the top-ups of sample_regions, which fills
+    every region from one pool.
     """
     m = tess.region_count
     if not 0 <= region_index < m:
@@ -351,3 +357,33 @@ def sample_region(tess, region_index, count, seed):
                     f"{window_accepts / window_draws:.2e} below 1/(50m)")
             window_draws = window_accepts = 0
     return np.concatenate(out)[:count]
+
+
+def sample_regions(tess, count, seed):
+    """count i.i.d. points uniform on every region, from one labelled pool.
+
+    Draws 2*count*m uniform-ball points, labels them once with regions_of
+    and groups them by region; region k takes its first count pool points
+    in draw order.  A region the pool leaves short is topped up by
+    sample_region on the same generator, after the pool and in region
+    order.  Exact: the points an i.i.d. uniform sequence puts in region k
+    are i.i.d. uniform on k and independent of the other regions' points,
+    and the top-ups are independent of the pool.
+
+    Returns (points, topped_up): points of shape (m, count, dim), and the
+    number of them that came from sample_region.
+    """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    m = tess.region_count
+    rng = np.random.default_rng(seed)
+    pool = sample_unit_ball(tess.dim, 2 * count * m, rng)
+    out = np.empty((m, count, tess.dim))
+    topped_up = 0
+    for k, group in enumerate(_group_rows(pool, regions_of(tess, pool), m)):
+        have = min(len(group), count)
+        out[k, :have] = group[:have]
+        if have < count:
+            out[k, have:] = sample_region(tess, k, count - have, rng)
+            topped_up += count - have
+    return out, topped_up

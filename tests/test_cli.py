@@ -51,6 +51,13 @@ def test_ineq_defaults_pass(tmp_path):
     assert (out / "trace_bound.csv").exists()
 
 
+def test_ineq_dim_1_passes(tmp_path, capsys):
+    # a kind-0 trial shifts b's mean; the trace bound counts the shift
+    assert main(["ineq", "--dim", "1", "--n-points", "8", "--trials", "1",
+                 "--out", str(tmp_path / "ineq")]) == 0
+    assert "trace bound: violations=0 of 3" in capsys.readouterr().out
+
+
 def test_varcheck_pass(tmp_path):
     out = tmp_path / "var"
     assert main(["varcheck", "--dim", "4", "--n", "16", "--trials", "100",
@@ -58,7 +65,7 @@ def test_varcheck_pass(tmp_path):
     assert (out / "varcheck.csv").exists()
 
 
-def test_train_and_gap_roundtrip(tmp_path):
+def test_train_and_gap_roundtrip(tmp_path, capsys):
     train_out = tmp_path / "train"
     code = main(["train", "--mode", "twae", "--dataset", "ring", "--modes", "8",
                  "--count", "200", "--n-chunk", "40", "--m", "4", "--epochs", "1",
@@ -76,6 +83,8 @@ def test_train_and_gap_roundtrip(tmp_path):
                  "--out", str(gap_out), "--seed", "0"])
     assert code == 0
     assert (gap_out / "gap.csv").exists()
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert summary.startswith("gap: ") and " topped_up=" in summary
 
 
 def test_train_defaults(tmp_path):

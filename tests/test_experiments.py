@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tessae.experiments
+import tessae.tessellation
 from tessae.autoencoder import init_params
 from tessae.data import gen_gaussian_ring, gen_uniform_ball_dataset
 from tessae.experiments import (eq19_check, gap_study, rate_study_sw,
@@ -126,6 +127,18 @@ def test_gap_study_untrained_vs_perfect(monkeypatch):
     assert mean_sw2 < 2 * mean_base
 
 
+def test_gap_study_counts_top_ups(monkeypatch):
+    # a ten-point pool per trial leaves 2n*m - 10 prior points to sample_region
+    ball = tessae.tessellation.sample_unit_ball
+    monkeypatch.setattr(tessae.tessellation, "sample_unit_ball",
+                        lambda dim, count, seed: ball(dim, 10 if count == 320 else count, seed))
+    tess, _ = lloyd_cvt(2, 4, seed=0)
+    res = gap_study(init_params([2, 8], 2, seed=0), tess,
+                    gen_gaussian_ring(8, 2.0, 0.2, 100, seed=0), n=20, trials=3,
+                    num_projections=16, seed=0)
+    assert res["topped_up"] == 3 * (2 * 20 * 4 - 10)
+
+
 def test_gap_study_needs_enough_data():
     tess, _ = lloyd_cvt(2, 4, seed=0)
     ds = gen_gaussian_ring(8, 2.0, 0.2, 100, seed=0)
@@ -158,10 +171,10 @@ def test_rate_study_writes_next_to_out_csv(tmp_path):
 # sha256 of each harness's CSV bytes on small seeded runs
 CSV_SHA256 = {
     "eq19.csv": "2821eb0ef6d786a7d5d5f87dc1b128f9e5d3e3fd182bd0e0bf215f1e60df15e7",
-    "gap.csv": "39dc7ad85117e3c63d1faa4180b0957de5258afc4dfe0257a85407ce2f7c897b",
+    "gap.csv": "3c4ff11a2a191b258c980d76b653c0c9864d38a29a8b0f1ef877d1b1f77e9bf9",
     "rates_pnpn.csv": "44d04a0d3fbef813559ae40ba6389bafb7728c9e884598616d39831886fff4cd",
     "rates_qn.csv": "e6615289293e7eb21cacf4e0c813ba2c10da71fedfedf7d6b73387440c57d57a",
-    "theorem6.csv": "7f755df3826abeaa3b5b25e69b4c1fb672695dc030544a0fba53e8f9104915ed",
+    "theorem6.csv": "d7cc08151a433bd347e211542ce326247ccde8c63c92c7465ce43b3fa266ca5c",
     "variance.csv": "c016c7cea1a7f6c47ebd81b7d653de77c74002bd12c5da2e59550bf616ec1195",
 }
 
@@ -188,7 +201,7 @@ def test_gap_study_pinned():
     values = [v for r in res["regions"] for v in (r["sw2"], r["baseline"])]
     values += [res["global"], res["global_baseline"], res["mean_gap"]]
     assert hashlib.sha256(np.array(values, dtype="<f8").tobytes()).hexdigest() == \
-        "605a0f0bc4e1005c86efd29a23ca7f22ed861eaa554923dd186e902234fa26c9"
+        "ddf699d31084aada5d2dc91564699e2c6f8917b71588905b0cf958115f818849"
 
 
 def test_gap_study_e8_pinned():
@@ -198,4 +211,4 @@ def test_gap_study_e8_pinned():
     values = [v for r in res["regions"] for v in (r["sw2"], r["baseline"])]
     values += [res["global"], res["global_baseline"], res["mean_gap"]]
     assert hashlib.sha256(np.array(values, dtype="<f8").tobytes()).hexdigest() == \
-        "66a0330a10aee1deea72a348729486ea55bfc699e9abeaabae9f23c04e4dd939"
+        "b246e6acaf7a01ced5418372a8c2368365bbed7ebe1af09c6b4b73702aefb54e"

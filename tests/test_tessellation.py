@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from tessae import tessellation
 from tessae.seeding import derive_rng
 from tessae.tessellation import (R_STAR, Tessellation, cvt_energy, e8_frames,
                                  e8_generators, e8_nearest, e8_roots, e8_tessellation,
-                                 lloyd_cvt, regions_of, sample_region, sample_unit_ball)
+                                 lloyd_cvt, regions_of, sample_region, sample_regions,
+                                 sample_unit_ball)
 
 
 @pytest.fixture(scope="module")
@@ -277,6 +279,69 @@ def test_sample_region_composition_covers_ball():
     mean = np.concatenate(parts).mean(axis=0)
     se = np.sqrt(1.0 / 4.0 / 10_000)  # per-coordinate sd of the 2-ball
     assert np.all(np.abs(mean) < 3 * se + 0.01)
+
+
+@pytest.mark.parametrize("kind", ["CVT", "E8"])
+def test_sample_regions_stay_in_their_regions(e8, kind):
+    tess = e8 if kind == "E8" else lloyd_cvt(2, 20, seed=1)[0]
+    pts, topped_up = sample_regions(tess, 30, seed=2)
+    m = tess.region_count
+    assert pts.shape == (m, 30, tess.dim)
+    assert np.array_equal(regions_of(tess, pts.reshape(-1, tess.dim)),
+                          np.repeat(np.arange(m), 30))
+    assert 0 <= topped_up < m * 30
+
+
+def _projections_match(a, b, seed):
+    """KS p-values of a against b on three random directions."""
+    dirs = np.random.default_rng(seed).standard_normal((3, a.shape[1]))
+    return [ks_2samp(a @ d, b @ d).pvalue for d in dirs]
+
+
+@pytest.mark.parametrize("kind, regions, count", [("CVT", range(8), 400),
+                                                  ("E8", (0, 1, 120, 240), 150)])
+def test_sample_regions_match_sample_region(e8, kind, regions, count):
+    # sample_region is the oracle: each region's pooled points against its own draws
+    tess = e8 if kind == "E8" else lloyd_cvt(2, 8, seed=0)[0]
+    pooled, _ = sample_regions(tess, count, seed=3)
+    pvalues = [p for k in regions
+               for p in _projections_match(pooled[k], sample_region(tess, k, count, seed=k), k)]
+    assert min(pvalues) > 1e-3, pvalues
+
+
+def test_sample_regions_top_up_short_regions(monkeypatch):
+    # a five-point pool leaves most regions short; they are filled by
+    # sample_region on the same generator, after the pool, in region order
+    tess = lloyd_cvt(2, 4, seed=0)[0]
+    ball = tessellation.sample_unit_ball
+
+    def short_pool(dim, count, seed):
+        return ball(dim, 5 if count == 2 * 6 * 4 else count, seed)
+
+    monkeypatch.setattr(tessellation, "sample_unit_ball", short_pool)
+    pts, topped_up = sample_regions(tess, 6, seed=4)
+    rng = np.random.default_rng(4)
+    pool = ball(2, 5, rng)
+    labels = regions_of(tess, pool)
+    expected = []
+    for k in range(4):
+        own = pool[labels == k][:6]
+        expected.append(np.concatenate([own, sample_region(tess, k, 6 - len(own), rng)]))
+    assert np.array_equal(pts, np.stack(expected))
+    assert topped_up == 4 * 6 - 5
+    assert np.all(regions_of(tess, pts.reshape(-1, 2)) == np.repeat(np.arange(4), 6))
+
+
+def test_sample_regions_single_region_is_the_pool_head():
+    tess = Tessellation(dim=3, generators=np.zeros((1, 3)), kind="CVT")
+    pts, topped_up = sample_regions(tess, 50, seed=5)
+    assert np.array_equal(pts[0], sample_unit_ball(3, 100, seed=5)[:50])
+    assert topped_up == 0
+
+
+def test_sample_regions_count_precondition():
+    with pytest.raises(ValueError, match="count must be >= 1, got 0"):
+        sample_regions(two_gen_1d(), 0, seed=0)
 
 
 @st.composite
