@@ -99,7 +99,7 @@ def lcm_assign(points, generators, capacity):
         raise ValueError("lcm_assign needs finite squared distances")
     cols = dmat.argmin(axis=1)
     mins = dmat[np.arange(n_points), cols]
-    order = np.lexsort((np.arange(n_points), mins))
+    order = np.argsort(mins, kind="stable")
     fresh = list(zip(mins[order].tolist(), order.tolist(), cols[order].tolist()))
     fresh.append((np.inf, n_points, 0))  # sentinel: above every live entry
     heap = []

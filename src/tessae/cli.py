@@ -18,7 +18,8 @@ from . import experiments as exp
 from .batch_design import OPTIMAL_MAX_POINTS, lcm_assign, optimal_assign
 from .discrepancy import NumericalFailure
 from .seeding import derive_rng
-from .tessellation import CVT, E8, DegenerateRegionError, Tessellation, e8_tessellation, lloyd_cvt
+from .tessellation import (CVT, E8, R_STAR, DegenerateRegionError, Tessellation, e8_tessellation,
+                           lloyd_cvt)
 from .trainer import (TrainConfig, TrainingAborted, build_tessellation, train_baseline,
                       train_twae, train_twae_regularized)
 
@@ -136,7 +137,7 @@ def cmd_cvt(args):
 def cmd_e8(args):
     tess = e8_tessellation()
     _write_tessellation(args, tess)
-    print(f"e8: shell_radius={tess.shell_radius:.6f} regions={tess.region_count}")
+    print(f"e8: shell_radius={R_STAR:.6f} regions={tess.region_count}")
 
 
 def cmd_train(args):
@@ -186,7 +187,7 @@ def cmd_ineq(args):
         total_violations += res["violations"]
         print(f"ineq m={m}: violations={res['violations']} "
               f"min_margin={res['margins'].min():.3e}")
-    res = exp.theorem6_check([5, 10, 50], args.dim, args.trials, args.seed,
+    res = exp.theorem6_check([5, 10, 50], [args.dim], args.trials, args.seed,
                              out_csv=os.path.join(args.out, "trace_bound.csv"))
     total_violations += res["violations"]
     print(f"trace bound: violations={res['violations']} of {res['instances']}")

@@ -33,7 +33,6 @@ class CountMismatchError(IdxError):
 class Dataset:
     points: np.ndarray  # (N, d)
     labels: np.ndarray | None = None
-    source: str = ""
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -67,12 +66,11 @@ def gen_gaussian_ring(modes, radius, sigma, count, seed):
     angles = 2.0 * np.pi * labels / modes
     centers = radius * np.column_stack([np.cos(angles), np.sin(angles)])
     points = centers + sigma * rng.standard_normal((count, 2))
-    return Dataset(points=points, labels=labels, source=f"gaussian_ring_{modes}")
+    return Dataset(points=points, labels=labels)
 
 
 def gen_uniform_ball_dataset(dim, count, seed):
-    return Dataset(points=sample_unit_ball(dim, count, seed),
-                   source=f"uniform_ball_{dim}d")
+    return Dataset(points=sample_unit_ball(dim, count, seed))
 
 
 def _read_idx_header(raw, path, expected_magic, ndims):
@@ -112,7 +110,7 @@ def load_idx(path_images, path_labels=None):
         if len(payload) < label_count:
             raise TruncatedPayloadError(f"{path_labels}: truncated payload")
         labels = np.frombuffer(payload[:label_count], dtype=np.uint8).astype(int)
-    return Dataset(points=points, labels=labels, source=path_images)
+    return Dataset(points=points, labels=labels)
 
 
 def write_csv(path, header, rows):

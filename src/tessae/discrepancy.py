@@ -7,6 +7,10 @@ from scipy.optimize import linear_sum_assignment
 
 from .batch_design import sq_dists
 
+# max_sw2's projected gradient ascent: steps and step size
+ASCENT_ITERS = 10
+STEP_SIZE = 0.1
+
 
 class NumericalFailure(RuntimeError):
     """Non-finite value encountered inside a closed-form computation."""
@@ -137,14 +141,12 @@ def _matched_1d(a, b, w):
     return ia, ib, pa[ia] - pb[ib]
 
 
-def max_sw2(a, b, ascent_iters=10, step_size=0.1, seed=0):
-    """Max-sliced squared W2: projected gradient ascent on the sphere for
-    the worst direction.  Returns (value, direction, gradient), the gradient
-    with respect to a of the 1-D sorted W2 along that direction, from the
-    matching that gave its value."""
+def max_sw2(a, b, seed=0):
+    """Max-sliced squared W2: ASCENT_ITERS steps of projected gradient
+    ascent on the sphere for the worst direction.  Returns (value, direction,
+    gradient), the gradient with respect to a of the 1-D sorted W2 along
+    that direction, from the matching that gave its value."""
     a, b = _check_pair(a, b)
-    if ascent_iters < 1:
-        raise ValueError("ascent_iters must be >= 1")
     n, d = a.shape
     w = directions(d, 1, np.random.default_rng(seed))[0]
 
@@ -154,8 +156,8 @@ def max_sw2(a, b, ascent_iters=10, step_size=0.1, seed=0):
 
     v, g, ia, diff = value_grad(w)
     best = v, w.copy(), ia, diff
-    for _ in range(ascent_iters):
-        w = w + step_size * g
+    for _ in range(ASCENT_ITERS):
+        w = w + STEP_SIZE * g
         norm = np.linalg.norm(w)
         if norm == 0:
             break

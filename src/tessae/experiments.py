@@ -145,8 +145,6 @@ def theorem6_check(n_grid, dims, trials, seed=0, out_csv=None):
     The independent coupling gives W2^2 <= ||mean a - mean b||^2
     + (n-1)/n (tr Sa + tr Sb), and (n-1)/n <= 2(n-1)/(n-4).  Without the
     shift term the bound fails on sets with a large enough mean gap."""
-    if isinstance(dims, int):
-        dims = [dims]
     if any(n < 5 for n in n_grid):
         raise ValueError("all n must be >= 5")
     if trials < 1:

@@ -4,12 +4,12 @@ root-system scheme, plus uniform-ball and per-region sampling."""
 import functools
 import itertools
 import json
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .batch_design import sq_dists
+from .discrepancy import directions
 
 CVT = "CVT"
 E8 = "E8"
@@ -35,7 +35,6 @@ class Tessellation:
     dim: int
     generators: np.ndarray  # (m, dim)
     kind: str
-    shell_radius: float | None = None
 
     def __post_init__(self):
         g = np.asarray(self.generators, dtype=float)
@@ -49,30 +48,23 @@ class Tessellation:
             raise ValueError("generators must lie in the closed unit ball")
         if len(np.unique(g, axis=0)) != len(g):
             raise ValueError("generators must be pairwise distinct")
-        if self.kind == E8:
-            # sample_region's Weyl map is valid only for this exact configuration
-            if self.dim != 8 or len(g) != 241:
-                raise ValueError("E8 tessellation requires dim=8 and m=241")
-            r = self.shell_radius
-            if isinstance(r, bool) or not isinstance(r, numbers.Real) or not 0 < r <= 1:
-                raise ValueError(f"E8 tessellation needs a shell_radius in (0, 1], got {r!r}")
-            if not np.array_equal(g, e8_generators(r)):
-                raise ValueError("E8 generators must be the origin then shell_radius times "
-                                 "the unit E8 roots, in e8_roots() order")
+        # sample_region's Weyl map is valid only for this exact configuration
+        if self.kind == E8 and not np.array_equal(g, e8_generators()):
+            raise ValueError("E8 generators must be the origin then R_STAR times "
+                             "the unit E8 roots, in e8_roots() order")
 
     @property
     def region_count(self):
         return len(self.generators)
 
     def to_json(self):
-        obj = {"dim": self.dim, "kind": self.kind,
-               "generators": self.generators.tolist()}
-        if self.shell_radius is not None:
-            obj["shell_radius"] = self.shell_radius
-        return json.dumps(obj)
+        return json.dumps({"dim": self.dim, "kind": self.kind,
+                           "generators": self.generators.tolist()})
 
     @classmethod
     def from_json(cls, text):
+        """The tessellation of to_json's text.  Other keys are ignored, such
+        as the shell_radius of older E8 files: the generators decide."""
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValueError("tessellation JSON is not an object")
@@ -81,8 +73,7 @@ class Tessellation:
                 raise ValueError(f"tessellation JSON has no {key!r}")
         if type(obj["dim"]) is not int:
             raise ValueError(f"tessellation JSON 'dim' must be an int, got {obj['dim']!r}")
-        return cls(dim=obj["dim"], generators=np.array(obj["generators"]),
-                   kind=obj["kind"], shell_radius=obj.get("shell_radius"))
+        return cls(dim=obj["dim"], generators=np.array(obj["generators"]), kind=obj["kind"])
 
 
 def sample_unit_ball(dim, count, seed):
@@ -94,11 +85,7 @@ def sample_unit_ball(dim, count, seed):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((count, dim))
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    r = rng.random(count) ** (1.0 / dim)
-    return (x / norms) * r[:, None]
+    return directions(dim, count, rng) * (rng.random(count) ** (1.0 / dim))[:, None]
 
 
 def _blockwise(points, g, reduce, dtype):
@@ -228,10 +215,10 @@ def e8_roots():
     return roots
 
 
-def e8_generators(shell_radius):
-    """The 241 E8 generators: the origin, then shell_radius times each unit
-    root in e8_roots() order."""
-    return np.vstack([np.zeros(8), shell_radius * (e8_roots() / np.sqrt(2.0))])
+def e8_generators():
+    """The 241 E8 generators: the origin, then R_STAR times each unit root
+    in e8_roots() order."""
+    return np.vstack([np.zeros(8), R_STAR * (e8_roots() / np.sqrt(2.0))])
 
 
 @functools.cache
@@ -278,8 +265,7 @@ def e8_tessellation(seed=None):
     system the 240 outer regions share the rest equally.  seed is accepted
     and ignored: the construction draws nothing.
     """
-    return Tessellation(dim=8, generators=e8_generators(R_STAR), kind=E8,
-                        shell_radius=R_STAR)
+    return Tessellation(dim=8, generators=e8_generators(), kind=E8)
 
 
 def _d8_nearest(x):
@@ -307,7 +293,7 @@ def sample_region(tess, region_index, count, seed):
     """count i.i.d. points uniform on one region, each checked by regions_of.
 
     On an E8 tessellation the centre is its Voronoi cell scaled by
-    s = shell_radius/sqrt(2): x uniform on [0, 2)^8 minus its nearest E8
+    s = R_STAR/sqrt(2): x uniform on [0, 2)^8 minus its nearest E8
     point is uniform on the cell, because 2Z^8 is a sublattice of E8.  An
     outer region k takes every uniform-ball draw outside the centre: with
     Q_j = e8_frames()[j - 1], Q_k Q_j^T is in W(E8), which permutes the
@@ -333,10 +319,10 @@ def sample_region(tess, region_index, count, seed):
     window_draws = 0
     window_accepts = 0
     while accepted < count:
-        chunk = count if m == 1 or e8 else min(count * m, 1_000_000)
+        chunk = count if e8 else min(count * m, 1_000_000)
         if e8 and region_index == 0:
             x = 2.0 * rng.random((chunk, 8))
-            pts = (x - e8_nearest(x)) * (tess.shell_radius / np.sqrt(2.0))
+            pts = (x - e8_nearest(x)) * (R_STAR / np.sqrt(2.0))
         else:
             pts = sample_unit_ball(tess.dim, chunk, rng)
             if e8:

@@ -49,6 +49,8 @@ class TrainConfig:
             raise ValueError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
         if self.tessellation_kind not in (CVT, E8):
             raise ValueError(f"tessellation_kind must be CVT or E8, got {self.tessellation_kind!r}")
+        if self.tessellation_kind == E8 and (self.latent_dim, self.m) != (8, 241):
+            raise ValueError("E8 tessellation needs latent_dim=8 and m=241")
         if self.chunk_size % self.m != 0:
             raise ValueError("chunk_size must be divisible by m")
         unknown = set(self.estimator_config) - {"num_projections"}
@@ -85,8 +87,6 @@ class TrainingAborted(RuntimeError):
 
 def build_tessellation(config):
     if config.tessellation_kind == E8:
-        if config.latent_dim != 8 or config.m != 241:
-            raise ValueError("E8 tessellation needs latent_dim=8 and m=241")
         return e8_tessellation()
     tess, _ = lloyd_cvt(config.latent_dim, config.m, seed=config.seed)
     return tess

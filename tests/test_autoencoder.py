@@ -163,7 +163,7 @@ def test_gradient_vector_pinned(estimator):
 
 
 @pytest.mark.parametrize("estimator, helper, calls", [
-    ("MAXSW", "_matched_1d", 11),  # ascent_iters + 1 directions, none re-matched
+    ("MAXSW", "_matched_1d", 11),  # ASCENT_ITERS + 1 directions, none re-matched
     ("GW", "_moments", 2),  # one per point set
 ])
 def test_latent_estimator_is_one_evaluation(monkeypatch, estimator, helper, calls):

@@ -12,7 +12,7 @@ from idx_fixtures import write_idx_images
 
 from tessae.autoencoder import init_params, save_checkpoint
 from tessae.cli import main
-from tessae.tessellation import Tessellation, e8_generators, lloyd_cvt
+from tessae.tessellation import e8_roots, e8_tessellation, lloyd_cvt
 from tessae.trainer import TrainingAborted
 
 
@@ -41,6 +41,13 @@ def test_cvt_deterministic(tmp_path):
     t2 = (out2 / "tessellation.json").read_bytes()
     assert t1 == t2
     assert (out1 / "resolved_config.json").exists()
+
+
+def test_e8_writes_dim_generators_and_kind(tmp_path):
+    assert main(["e8", "--out", str(tmp_path)]) == 0
+    obj = json.loads((tmp_path / "tessellation.json").read_text())
+    assert sorted(obj) == ["dim", "generators", "kind"]
+    assert np.array_equal(obj["generators"], e8_tessellation().generators)
 
 
 def test_ineq_defaults_pass(tmp_path):
@@ -277,15 +284,16 @@ def test_gap_tessellation_without_generators_is_one_line_exit_2(tmp_path, capsys
     assert err.startswith("error: ") and err.count("\n") == 1 and "'generators'" in err
 
 
-@pytest.mark.parametrize("edit", ["permuted", "perturbed"])
+@pytest.mark.parametrize("edit", ["permuted", "perturbed", "radius-0.5"])
 def test_gap_on_a_bad_e8_file_is_one_line_exit_2(tmp_path, capsys, edit):
     gap_inputs(tmp_path)
-    tess = Tessellation(dim=8, generators=e8_generators(0.5), kind="E8", shell_radius=0.5)
-    obj = json.loads(tess.to_json())
+    obj = json.loads(e8_tessellation().to_json())
     if edit == "permuted":
         obj["generators"][1], obj["generators"][2] = obj["generators"][2], obj["generators"][1]
-    else:
+    elif edit == "perturbed":
         obj["generators"][7][3] += 1e-12
+    else:
+        obj["generators"] = np.vstack([np.zeros(8), 0.5 * e8_roots() / np.sqrt(2.0)]).tolist()
     (tmp_path / "tess.json").write_text(json.dumps(obj))
     assert run_gap(tmp_path) == 2
     err = capsys.readouterr().err

@@ -165,11 +165,13 @@ def test_e8_tessellation_structure(e8):
     assert e8.region_count == 241
     assert e8.kind == "E8"
     assert regions_of(e8, np.zeros((1, 8))).tolist() == [0]
-    assert e8.shell_radius == R_STAR
+    assert np.array_equal(e8.generators, e8_generators())
 
 
 def test_e8_shell_radius_is_exact_and_seed_free():
-    assert e8_tessellation(seed=0).shell_radius == e8_tessellation(seed=3).shell_radius
+    gens = e8_tessellation(seed=0).generators
+    assert np.array_equal(gens, e8_tessellation(seed=3).generators)
+    assert np.allclose(np.linalg.norm(gens[1:], axis=1), R_STAR, rtol=1e-15, atol=0)
     # the centre is the unit-volume E8 cell scaled by R_STAR/sqrt(2); vol(B^8) = pi^4/24
     assert (R_STAR / np.sqrt(2.0)) ** 8 / (np.pi ** 4 / 24) == pytest.approx(1 / 241, rel=1e-12)
 
@@ -181,9 +183,12 @@ def test_e8_tessellation_center_volume(e8):
 
 
 def test_e8_tessellation_json_roundtrip(e8):
-    back = Tessellation.from_json(e8.to_json())
-    assert np.array_equal(back.generators, e8.generators)
-    assert back.shell_radius == e8.shell_radius
+    # older E8 files also carry a shell_radius key; the generators decide
+    old = json.dumps(dict(json.loads(e8.to_json()), shell_radius=R_STAR))
+    for text in (e8.to_json(), old):
+        back = Tessellation.from_json(text)
+        assert np.array_equal(back.generators, e8.generators)
+        assert (back.dim, back.kind) == (8, "E8")
 
 
 def test_e8_rejects_generators_other_than_the_root_shell(e8):
@@ -191,12 +196,12 @@ def test_e8_rejects_generators_other_than_the_root_shell(e8):
     permuted = dict(obj, generators=[obj["generators"][0], *obj["generators"][:0:-1]])
     perturbed = json.loads(e8.to_json())
     perturbed["generators"][5][0] *= 1 + 1e-12
-    for bad in (permuted, perturbed):
+    half = np.vstack([np.zeros(8), 0.5 * e8_roots() / np.sqrt(2.0)])
+    half_shell = dict(obj, generators=half.tolist())
+    ring = {"dim": 2, "kind": "E8", "generators": [[0.0, 0.0], [0.5, 0.0]]}
+    for bad in (permuted, perturbed, half_shell, ring):
         with pytest.raises(ValueError, match="E8 generators must be"):
             Tessellation.from_json(json.dumps(bad))
-    for radius in (None, 0.0, 1.5, "0.5"):
-        with pytest.raises(ValueError, match="shell_radius"):
-            Tessellation.from_json(json.dumps(dict(obj, shell_radius=radius)))
 
 
 def test_e8_frames_are_weyl_elements():
@@ -229,7 +234,7 @@ def test_e8_centre_second_moment(e8):
     # so the centre region (scaled by s) has E||x||^2 = 8 G s^2
     pts = sample_region(e8, 0, 20_000, seed=5)
     sq = (pts ** 2).sum(axis=1)
-    s = e8.shell_radius / np.sqrt(2.0)
+    s = R_STAR / np.sqrt(2.0)
     assert abs(sq.mean() - 8 * 929 / 12960 * s ** 2) <= 5 * sq.std() / np.sqrt(len(sq))
 
 
@@ -351,8 +356,7 @@ def tessellations(draw):
     coord = st.floats(-1, 1, allow_nan=False).map(lambda c: c / np.sqrt(dim))
     rows = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=8,
                          unique_by=lambda r: tuple(c + 0.0 for c in r)))
-    shell = draw(st.none() | st.floats(0.01, 1.0))
-    return Tessellation(dim=dim, generators=np.array(rows), kind="CVT", shell_radius=shell)
+    return Tessellation(dim=dim, generators=np.array(rows), kind="CVT")
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -360,7 +364,7 @@ def tessellations(draw):
 def test_tessellation_json_roundtrip_any(tess):
     back = Tessellation.from_json(tess.to_json())
     assert back.generators.tobytes() == tess.generators.tobytes()
-    assert (back.dim, back.kind, back.shell_radius) == (tess.dim, tess.kind, tess.shell_radius)
+    assert (back.dim, back.kind) == (tess.dim, tess.kind)
 
 
 def _sample_moments_agree(a, b):

@@ -71,8 +71,12 @@ def test_estimator_config_unknown_key_rejected(key):
 
 
 def test_build_tessellation_e8_guard():
-    with pytest.raises(ValueError):
-        build_tessellation(small_config(tessellation_kind="E8"))
+    # refused when the config is built, as an unknown estimator is
+    for dims in ({}, {"latent_dim": 8, "m": 4}, {"m": 241, "chunk_size": 241}):
+        with pytest.raises(ValueError, match="E8 tessellation needs latent_dim=8 and m=241"):
+            small_config(tessellation_kind="E8", **dims)
+    config = small_config(tessellation_kind="E8", latent_dim=8, m=241, chunk_size=241)
+    assert build_tessellation(config).region_count == 241
 
 
 def test_train_twae_deterministic(ring):
