@@ -227,9 +227,12 @@ def save_checkpoint(params, path_prefix, seed=0, step=0):
 
 
 def load_checkpoint(path_prefix):
-    with open(f"{path_prefix}.json") as fh:
-        manifest = json.load(fh)
     where = f"checkpoint manifest {path_prefix}.json"
+    with open(f"{path_prefix}.json", encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as err:  # not UTF-8 or not JSON
+            raise ValueError(f"{where}: {err}") from None
     if not isinstance(manifest, dict):
         raise ValueError(f"{where} is not a JSON object")
     for key in ("layer_sizes", "latent_dim"):
@@ -243,6 +246,6 @@ def load_checkpoint(path_prefix):
     blob = np.fromfile(f"{path_prefix}.bin", dtype="<f8")
     size = _layer_shapes(tuple(layer_sizes), latent_dim)[1]
     if blob.size != size:
-        raise ValueError(f"checkpoint blob has {blob.size} values; layer_sizes "
-                         f"{layer_sizes} and latent_dim {latent_dim} need {size}")
+        raise ValueError(f"{path_prefix}.bin: checkpoint blob has {blob.size} values; "
+                         f"layer_sizes {layer_sizes} and latent_dim {latent_dim} need {size}")
     return AutoEncoderParams(blob, latent_dim, layer_sizes), manifest

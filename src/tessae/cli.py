@@ -48,18 +48,25 @@ def _config_parser(prog="tessae"):
 
 
 def _read_config_file(path):
-    """The flags of a config file: each `key = value` line is `--key=value`,
-    with `_` read as `-`, so argparse checks it exactly as that flag."""
+    """The flags of a UTF-8 config file: each `key = value` line is
+    `--key=value`, with `_` read as `-`, so argparse checks it exactly as that
+    flag.  A config file names no other config file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not UTF-8: {err}") from None
     flags = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = (part.strip() for part in line.partition("="))
-            if not (key and sep):
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            flags.append(f"--{key.replace('_', '-')}={value}")
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not (key and sep):
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        if key == "config":
+            raise ValueError(f"{path}:{lineno}: a config file cannot name another config file")
+        flags.append(f"--{key.replace('_', '-')}={value}")
     return flags
 
 
@@ -159,8 +166,11 @@ def cmd_train(args):
 def cmd_gap(args):
     dataset = _load_dataset(args)
     params, _ = ae.load_checkpoint(args.checkpoint)
-    with open(args.tessellation) as fh:
-        tess = Tessellation.from_json(fh.read())
+    try:
+        with open(args.tessellation, encoding="utf-8") as fh:
+            tess = Tessellation.from_json(fh.read())
+    except (ValueError, TypeError) as err:  # TypeError: generators numpy cannot read as floats
+        raise ValueError(f"{args.tessellation}: {err}") from None
     result = exp.gap_study(params, tess, dataset, args.n, args.trials,
                            args.projections, args.seed,
                            out_csv=os.path.join(args.out, "gap.csv"))

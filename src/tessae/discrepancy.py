@@ -177,13 +177,10 @@ def default_pivot_radius(a, b):
                      float(np.linalg.norm(b, axis=1).max()))
 
 
-def _gsw_pivots(a, b, num_projections, pivot_radius, seed):
-    # the pivots R*theta, (L, d)
-    if pivot_radius is None:
-        pivot_radius = default_pivot_radius(a, b)
-    if pivot_radius <= 0:
-        raise ValueError("pivot_radius must be positive")
-    return pivot_radius * directions(a.shape[1], num_projections, np.random.default_rng(seed))
+def _gsw_pivots(a, b, num_projections, seed):
+    # the pivots R*theta, (L, d), at the default pivot radius R
+    return default_pivot_radius(a, b) * directions(a.shape[1], num_projections,
+                                                   np.random.default_rng(seed))
 
 
 def _gsw_features(x, pivots):
@@ -191,13 +188,17 @@ def _gsw_features(x, pivots):
     return np.sqrt(np.maximum(sq_dists(x, pivots), 1e-300))
 
 
-def gsw2_value_and_grad(a, b, num_projections=1000, pivot_radius=None, seed=0):
+def gsw2_value_and_grad(a, b, num_projections=1000, seed=0):
     """Generalized sliced squared W2 with circular projections, the scalar
     feature being the distance to a pivot R*theta with theta uniform on the
     sphere, and its gradient with respect to a, from one feature map and one
     sort; returns (value, gradient)."""
     a, b = _check_pair(a, b)
-    pivots = _gsw_pivots(a, b, num_projections, pivot_radius, seed)
+    return _gsw2_at(a, b, _gsw_pivots(a, b, num_projections, seed))
+
+
+def _gsw2_at(a, b, pivots):
+    """gsw2_value_and_grad of two checked point sets at the given (L, d) pivots."""
     fa = _gsw_features(a, pivots)
     diff, coeff = _matched_diffs(fa.T.copy(), _gsw_features(b, pivots).T.copy())
     # the mean and the products take C-contiguous (n, L) arrays, as the
@@ -205,7 +206,7 @@ def gsw2_value_and_grad(a, b, num_projections=1000, pivot_radius=None, seed=0):
     np.square(diff, out=diff)
     value = float(diff.T.copy().mean())
     # d feature / d a_i = (a_i - pivot_l) / fa[i, l]
-    c = (2.0 / (len(a) * num_projections)) * coeff.T.copy() / fa
+    c = (2.0 / (len(a) * len(pivots))) * coeff.T.copy() / fa
     grad = c.sum(axis=1)[:, None] * a - c @ pivots
     return value, grad
 

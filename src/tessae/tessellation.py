@@ -4,7 +4,7 @@ root-system scheme, plus uniform-ball and per-region sampling."""
 import functools
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,29 +29,27 @@ class Tessellation:
     """A nearest-generator tessellation of the closed unit ball.
 
     Region i is the set of points whose nearest generator (squared
-    Euclidean distance, ties to the lowest index) is generators[i].
+    Euclidean distance, ties to the lowest index) is generators[i].  dim is
+    their width, and kind is E8 when they are e8_generators(), CVT otherwise.
     """
 
-    dim: int
     generators: np.ndarray  # (m, dim)
-    kind: str
+    dim: int = field(init=False)
+    kind: str = field(init=False)
 
     def __post_init__(self):
         g = np.asarray(self.generators, dtype=float)
-        object.__setattr__(self, "generators", g)
-        if g.ndim != 2 or g.shape[1] != self.dim:
-            raise ValueError(f"generators must be (m, {self.dim}), got {g.shape}")
+        if g.ndim != 2 or 0 in g.shape:
+            raise ValueError(f"generators must be (m, dim) with m, dim >= 1, got {g.shape}")
         if not np.all(np.isfinite(g)):
             raise ValueError("generators must be finite")
-        norms = np.linalg.norm(g, axis=1)
-        if np.any(norms > 1.0 + 1e-12):
+        if np.any(np.linalg.norm(g, axis=1) > 1.0 + 1e-12):
             raise ValueError("generators must lie in the closed unit ball")
         if len(np.unique(g, axis=0)) != len(g):
             raise ValueError("generators must be pairwise distinct")
-        # sample_region's Weyl map is valid only for this exact configuration
-        if self.kind == E8 and not np.array_equal(g, e8_generators()):
-            raise ValueError("E8 generators must be the origin then R_STAR times "
-                             "the unit E8 roots, in e8_roots() order")
+        e8 = g.shape == (241, 8) and np.array_equal(g, e8_generators())
+        for name, value in (("generators", g), ("dim", g.shape[1]), ("kind", E8 if e8 else CVT)):
+            object.__setattr__(self, name, value)
 
     @property
     def region_count(self):
@@ -63,17 +61,19 @@ class Tessellation:
 
     @classmethod
     def from_json(cls, text):
-        """The tessellation of to_json's text.  Other keys are ignored, such
-        as the shell_radius of older E8 files: the generators decide."""
+        """The tessellation of to_json's generators; a dim or kind not theirs is refused."""
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValueError("tessellation JSON is not an object")
         for key in ("dim", "generators", "kind"):
             if key not in obj:
                 raise ValueError(f"tessellation JSON has no {key!r}")
-        if type(obj["dim"]) is not int:
-            raise ValueError(f"tessellation JSON 'dim' must be an int, got {obj['dim']!r}")
-        return cls(dim=obj["dim"], generators=np.array(obj["generators"]), kind=obj["kind"])
+        tess = cls(np.array(obj["generators"]))
+        for key, value in (("dim", tess.dim), ("kind", tess.kind)):
+            if type(obj[key]) is not type(value) or obj[key] != value:
+                raise ValueError(f"tessellation JSON {key!r} is {obj[key]!r}, "
+                                 f"but its generators give {value!r}")
+        return tess
 
 
 def sample_unit_ball(dim, count, seed):
@@ -186,8 +186,7 @@ def lloyd_cvt(dim, m, mc_samples_per_iter=None, max_iters=100, energy_tol=1e-4, 
             if (energies[-2] - energies[-1]) / energies[-2] < energy_tol:
                 break
     # centroids of ball subsets stay strictly inside the ball
-    tess = Tessellation(dim=dim, generators=gens, kind=CVT)
-    return tess, {"energies": energies, "reseeds": reseeds}
+    return Tessellation(gens), {"energies": energies, "reseeds": reseeds}
 
 
 @functools.cache
@@ -265,7 +264,7 @@ def e8_tessellation(seed=None):
     system the 240 outer regions share the rest equally.  seed is accepted
     and ignored: the construction draws nothing.
     """
-    return Tessellation(dim=8, generators=e8_generators(), kind=E8)
+    return Tessellation(e8_generators())
 
 
 def _d8_nearest(x):

@@ -96,9 +96,9 @@ def _init(config, dataset, tess, params):
     if len(dataset) < config.chunk_size:
         raise ValueError(f"dataset of {len(dataset)} points is smaller than one chunk "
                          f"of {config.chunk_size}")
-    if tess is None:
-        tess = build_tessellation(config)
-    if tess.region_count != config.m or tess.dim != config.latent_dim:
+    tess = build_tessellation(config) if tess is None else tess
+    if (tess.region_count, tess.dim, tess.kind) != (config.m, config.latent_dim,
+                                                    config.tessellation_kind):
         raise ValueError("tessellation does not match config")
     if params is None:
         params = init_params(config.layer_sizes, config.latent_dim, config.seed)

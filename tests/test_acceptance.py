@@ -233,7 +233,7 @@ def test_criterion_12_single_region_degeneration():
     cfg = TrainConfig(m=1, chunk_size=40, epochs=1, latent_dim=2,
                       layer_sizes=[2, 16], lam=1.0,
                       estimator_config={"num_projections": 32}, seed=0)
-    tess = Tessellation(dim=2, generators=np.zeros((1, 2)), kind="CVT")
+    tess = Tessellation(np.zeros((1, 2)))
     p_t, log_t = train_twae(cfg, ds, tess=tess)
     p_b, log_b = train_baseline(cfg, ds, tess=tess)
     assert len(log_t.records) == 5

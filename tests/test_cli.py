@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import struct
 import tempfile
 import warnings
 
@@ -10,8 +11,10 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from idx_fixtures import write_idx_images
 
+from tessae import experiments
 from tessae.autoencoder import init_params, save_checkpoint
 from tessae.cli import main
+from tessae.data import IDX_IMAGES_MAGIC
 from tessae.tessellation import e8_roots, e8_tessellation, lloyd_cvt
 from tessae.trainer import TrainingAborted
 
@@ -227,6 +230,19 @@ def test_run_error_is_one_line_exit_2(tmp_path, monkeypatch, capsys):
     assert err == "error: TrainingAborted: non-finite loss at epoch 0 chunk 0 region 1\n"
 
 
+@pytest.mark.parametrize("argv,check,result", [
+    (["varcheck", "--dim", "2", "--n", "8", "--trials", "1"], "variance_check",
+     {"mean_shared": 2.0, "mean_independent": 1.0}),
+    (["ineq", "--n-points", "8", "--trials", "1"], "eq19_check",
+     {"violations": 1, "margins": np.array([-1.0])}),
+], ids=["varcheck", "ineq"])
+def test_failed_check_is_one_line_exit_1(tmp_path, monkeypatch, capsys, argv, check, result):
+    monkeypatch.setattr(experiments, check, lambda *args, **kwargs: result)
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("check failed: ")
+
+
 def test_memory_error_is_one_line_exit_2(tmp_path, monkeypatch, capsys):
     # `cvt --dim 2 --m 1000000000` fails in numpy's allocator; the stand-in
     # raises the same error without allocating anything
@@ -297,7 +313,8 @@ def test_gap_on_a_bad_e8_file_is_one_line_exit_2(tmp_path, capsys, edit):
     (tmp_path / "tess.json").write_text(json.dumps(obj))
     assert run_gap(tmp_path) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: E8 generators must be") and err.count("\n") == 1
+    assert err.startswith(f"error: {tmp_path / 'tess.json'}: tessellation JSON 'kind' is 'E8', "
+                          "but its generators give 'CVT'") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("which,key,value,needle", [
@@ -323,6 +340,34 @@ def test_gap_wrong_typed_json_is_one_line_exit_2(tmp_path, capsys, which, key, v
     assert run_gap(tmp_path) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+
+
+CVT_FILE = {"dim": 2, "kind": "CVT", "generators": [[0.1, 0.2], [0.3, -0.4]]}
+
+
+@pytest.mark.parametrize("name,content,flags", [
+    ("tess.json", b"{not json", []),
+    ("tess.json", json.dumps(dict(CVT_FILE, generators=[[0.1, 0.2], [0.3]])).encode(), []),
+    ("tess.json", json.dumps(dict(CVT_FILE, kind="XYZ")).encode(), []),
+    ("tess.json", json.dumps({"dim": 0, "kind": "CVT", "generators": [[]]}).encode(), []),
+    ("tess.json", json.dumps(dict(CVT_FILE, generators={})).encode(), []),
+    ("tess.json", b"\xff\xfe", []),
+    ("ckpt.json", b"{not json", []),
+    ("ckpt.bin", bytes(16), []),
+    ("images.idx", struct.pack(">4i", IDX_IMAGES_MAGIC, 10, 2, 1) + bytes(5),
+     ["--dataset", "idx", "--idx-images"]),
+    ("run.cfg", b"n = 10\n\xff\n", ["--config"]),
+    ("run.cfg", b"config = other.cfg\n", ["--config"]),
+], ids=["tess-not-json", "tess-ragged", "tess-kind-XYZ", "tess-no-columns",
+        "tess-generators-object", "tess-not-utf8", "ckpt-not-json", "ckpt-truncated-blob",
+        "idx-truncated", "cfg-not-utf8", "cfg-nested"])
+def test_gap_malformed_file_is_one_line_naming_it_exit_2(tmp_path, capsys, name, content, flags):
+    gap_inputs(tmp_path)
+    path = tmp_path / name
+    path.write_bytes(content)
+    assert run_gap(tmp_path, *flags, *([str(path)] if flags else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err, err
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tessae.discrepancy import (_gsw_features, _gsw_pivots, default_pivot_radius, directions,
+from tessae.discrepancy import (_gsw2_at, _gsw_features, _gsw_pivots,
+                                default_pivot_radius, directions,
                                 gsw2_value_and_grad, gw2, gw2_value_and_grad, max_sw2,
                                 sorted_projections, sw2, sw2_gradient, sw2_projected,
                                 w2_1d_sorted, wasserstein_exact)
@@ -46,13 +47,23 @@ def test_wasserstein_exact_size_guards():
         wasserstein_exact(np.zeros((1025, 1)), np.zeros((1025, 1)))
 
 
-@pytest.mark.parametrize("estimator", [wasserstein_exact, sw2, max_sw2, gw2_value_and_grad,
-                                       gsw2_value_and_grad, gw2], ids=lambda f: f.__name__)
+PAIR_ESTIMATORS = pytest.mark.parametrize(
+    "estimator", [wasserstein_exact, sw2, max_sw2, gw2_value_and_grad, gsw2_value_and_grad, gw2],
+    ids=lambda f: f.__name__)
+
+
+@PAIR_ESTIMATORS
 def test_estimate_is_a_float(estimator):
     rng = np.random.default_rng(22)
     a, b = rng.standard_normal((6, 2)), rng.standard_normal((6, 2))
     out = estimator(a, b)
     assert type(out[0] if isinstance(out, tuple) else out) is float
+
+
+@PAIR_ESTIMATORS
+def test_estimator_refuses_a_dimension_mismatch(estimator):
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+        estimator(np.zeros((6, 2)), np.zeros((6, 3)))
 
 
 def test_w2_1d_sorted_examples():
@@ -157,8 +168,9 @@ def test_gsw2_large_pivot_approaches_sw2():
     a, b = rng.standard_normal((16, 3)), rng.standard_normal((16, 3)) * 1.2
     r0 = default_pivot_radius(a, b)
     ref = sw2(a, b, 64, seed=4)
-    err_near = abs(gsw2_value_and_grad(a, b, 64, r0, seed=4)[0] - ref)
-    err_far = abs(gsw2_value_and_grad(a, b, 64, 100 * r0, seed=4)[0] - ref)
+    dirs = directions(3, 64, np.random.default_rng(4))
+    err_near = abs(_gsw2_at(a, b, r0 * dirs)[0] - ref)
+    err_far = abs(_gsw2_at(a, b, 100 * r0 * dirs)[0] - ref)
     assert err_far < err_near
     assert err_far < 0.05 * max(ref, 1e-9)
 
@@ -171,7 +183,7 @@ def test_gsw2_compresses_tangential_displacement():
     a = r * np.column_stack([np.cos(angles), np.sin(angles)])
     rot = 0.1
     b = r * np.column_stack([np.cos(angles + rot), np.sin(angles + rot)])
-    gsw = gsw2_value_and_grad(a, b, 512, pivot_radius=r, seed=5)[0]
+    gsw = _gsw2_at(a, b, r * directions(2, 512, np.random.default_rng(5)))[0]
     lin = sw2(a, b, 512, seed=5)
     assert gsw < lin
 
@@ -179,16 +191,16 @@ def test_gsw2_compresses_tangential_displacement():
 def test_gsw2_gradient_finite_differences():
     rng = np.random.default_rng(13)
     a, b = rng.standard_normal((8, 3)), rng.standard_normal((8, 3))
-    r = default_pivot_radius(a, b)
-    g = gsw2_value_and_grad(a, b, 32, r, seed=6)[1]
-    fd = fd_gradient(lambda x: gsw2_value_and_grad(x, b, 32, r, seed=6)[0], a)
+    pivots = _gsw_pivots(a, b, 32, seed=6)
+    g = _gsw2_at(a, b, pivots)[1]
+    fd = fd_gradient(lambda x: _gsw2_at(x, b, pivots)[0], a)
     assert np.abs(g - fd).max() / np.abs(fd).max() <= 1e-4
 
 
 def sort_only_gsw2(a, b, num_projections, seed):
     """gsw2 from the features sorted by np.sort down their columns: the
     reference for the value read off the argsorted differences."""
-    pivots = _gsw_pivots(a, b, num_projections, None, seed)
+    pivots = _gsw_pivots(a, b, num_projections, seed)
     fa = np.sort(_gsw_features(a, pivots), axis=0)
     fb = np.sort(_gsw_features(b, pivots), axis=0)
     return float(((fa - fb) ** 2).mean())
@@ -249,6 +261,22 @@ def test_gw2_diagonal_analytic():
     b = make_exact_moments(m2, d2, 200, rng)
     expected = ((m1 - m2) ** 2).sum() + ((np.sqrt(d1) - np.sqrt(d2)) ** 2).sum()
     assert abs(gw2(a, b) - expected) <= 1e-10
+
+
+def test_gw2_singular_target_covariance():
+    # a zero column of b makes S2 singular: the gradient takes S2 + eps*I,
+    # the value the exact S2, which here has the diagonal closed form
+    rng = np.random.default_rng(23)
+    m1, m2 = np.array([0.1, -0.2, 0.3]), np.array([1.0, 0.0, -0.5])
+    d1, d2 = np.array([1.0, 2.0, 0.5]), np.array([0.3, 0.0, 2.5])
+    a = make_exact_moments(m1, d1, 50, rng)
+    b = make_exact_moments(m2, d2, 50, rng)
+    assert np.all(b[:, 1] == 0.0)
+    value, grad = gw2_value_and_grad(a, b)
+    assert np.all(np.isfinite(grad))
+    assert value == gw2(a, b)
+    expected = ((m1 - m2) ** 2).sum() + ((np.sqrt(d1) - np.sqrt(d2)) ** 2).sum()
+    assert abs(value - expected) <= 1e-8
 
 
 def test_gw2_gradient_near_stationary():
@@ -351,7 +379,7 @@ def test_gsw2_value_and_grad_equals_matched_diffs_formula(n, dim, ties):
     # at n=600 the products round differently on a transposed coefficient view
     a, b = tied_pair(n, dim, ties)
     for seed in range(5):
-        pivots = _gsw_pivots(a, b, 64, None, np.random.default_rng(seed))
+        pivots = _gsw_pivots(a, b, 64, np.random.default_rng(seed))
         fa = _gsw_features(a, pivots)
         diff, coeff = axis0_matched_diffs(fa, _gsw_features(b, pivots))
         c = (2.0 / (len(a) * 64)) * coeff / fa

@@ -49,7 +49,7 @@ def test_sample_unit_ball_bad_args():
 
 
 def two_gen_1d():
-    return Tessellation(dim=1, generators=np.array([[-0.5], [0.5]]), kind="CVT")
+    return Tessellation(np.array([[-0.5], [0.5]]))
 
 
 def test_region_of_nearest():
@@ -68,19 +68,20 @@ def test_region_of_dim_mismatch():
 def test_region_of_scale_equivariance():
     rng = np.random.default_rng(3)
     gens = sample_unit_ball(3, 5, seed=3)
-    tess = Tessellation(dim=3, generators=gens, kind="CVT")
-    scaled = Tessellation(dim=3, generators=0.25 * gens, kind="CVT")
+    tess = Tessellation(gens)
+    scaled = Tessellation(0.25 * gens)
     pts = rng.standard_normal((50, 3))
     assert np.array_equal(regions_of(tess, pts), regions_of(scaled, 0.25 * pts))
 
 
 def test_tessellation_invariants():
     with pytest.raises(ValueError):
-        Tessellation(dim=1, generators=np.array([[1.5]]), kind="CVT")
+        Tessellation(np.array([[1.5]]))
     with pytest.raises(ValueError):
-        Tessellation(dim=1, generators=np.array([[0.5], [0.5]]), kind="CVT")
-    with pytest.raises(ValueError):
-        Tessellation(dim=2, generators=np.zeros((1, 2)), kind="E8")
+        Tessellation(np.array([[0.5], [0.5]]))
+    for shape in ((1, 0), (0, 2), (2,)):
+        with pytest.raises(ValueError, match=r"generators must be \(m, dim\) with m, dim >= 1"):
+            Tessellation(np.zeros(shape))
 
 
 def test_tessellation_json_roundtrip():
@@ -117,20 +118,20 @@ def test_lloyd_pool_size_precondition():
 
 def test_cvt_energy_analytic_disk():
     # E||y||^2 = 1/2 on the unit disk
-    tess = Tessellation(dim=2, generators=np.zeros((1, 2)), kind="CVT")
+    tess = Tessellation(np.zeros((1, 2)))
     e = cvt_energy(tess, 200_000, seed=0)
     assert abs(e - 0.5) < 0.01
 
 
 def test_cvt_energy_analytic_interval():
-    tess = Tessellation(dim=1, generators=np.zeros((1, 1)), kind="CVT")
+    tess = Tessellation(np.zeros((1, 1)))
     e = cvt_energy(tess, 200_000, seed=0)
     assert abs(e - 1.0 / 3.0) < 0.01 / 3.0
 
 
 def test_cvt_energy_minimized_at_cvt():
     e_opt = cvt_energy(two_gen_1d(), 100_000, seed=4)
-    perturbed = Tessellation(dim=1, generators=np.array([[-0.3], [0.7]]), kind="CVT")
+    perturbed = Tessellation(np.array([[-0.3], [0.7]]))
     assert cvt_energy(perturbed, 100_000, seed=4) > e_opt
 
 
@@ -200,8 +201,35 @@ def test_e8_rejects_generators_other_than_the_root_shell(e8):
     half_shell = dict(obj, generators=half.tolist())
     ring = {"dim": 2, "kind": "E8", "generators": [[0.0, 0.0], [0.5, 0.0]]}
     for bad in (permuted, perturbed, half_shell, ring):
-        with pytest.raises(ValueError, match="E8 generators must be"):
+        with pytest.raises(ValueError, match="'kind' is 'E8', but its generators give 'CVT'"):
             Tessellation.from_json(json.dumps(bad))
+
+
+def test_dim_and_kind_follow_the_generators(e8):
+    assert (e8.dim, e8.kind) == (8, "E8")
+    assert (reversed_e8().dim, reversed_e8().kind) == (8, "CVT")
+    assert (two_gen_1d().dim, two_gen_1d().kind) == (1, "CVT")
+    with pytest.raises(TypeError):
+        Tessellation(e8_generators(), kind="E8")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("kind", "XYZ", "'kind' is 'XYZ', but its generators give 'CVT'"),
+    ("dim", 3, "'dim' is 3, but its generators give 2"),
+    ("dim", 2.0, "'dim' is 2.0, but its generators give 2"),
+    ("dim", True, "'dim' is True, but its generators give 2"),
+    ("dim", "2", "'dim' is '2', but its generators give 2"),
+])
+def test_from_json_refuses_a_dim_or_kind_its_generators_do_not_give(key, value, message):
+    obj = dict(json.loads(lloyd_cvt(2, 3, seed=0)[0].to_json()), **{key: value})
+    with pytest.raises(ValueError, match=message):
+        Tessellation.from_json(json.dumps(obj))
+
+
+def test_from_json_refuses_e8_generators_labelled_cvt(e8):
+    obj = dict(json.loads(e8.to_json()), kind="CVT")
+    with pytest.raises(ValueError, match="'kind' is 'CVT', but its generators give 'E8'"):
+        Tessellation.from_json(json.dumps(obj))
 
 
 def test_e8_frames_are_weyl_elements():
@@ -261,7 +289,7 @@ def test_sample_region_predicate():
 
 
 def test_sample_region_single_region_matches_ball():
-    tess = Tessellation(dim=3, generators=np.zeros((1, 3)), kind="CVT")
+    tess = Tessellation(np.zeros((1, 3)))
     a = sample_region(tess, 0, 500, seed=2)
     b = sample_unit_ball(3, 500, seed=2)
     assert np.array_equal(a, b)
@@ -271,6 +299,14 @@ def test_sample_region_1d_half_interval():
     pts = sample_region(two_gen_1d(), 1, 10_000, seed=3).ravel()
     assert np.all(pts > 0) and np.all(pts <= 1)
     assert abs(pts.mean() - 0.5) < 0.02
+
+
+def test_sample_region_degenerate_region_aborts():
+    # the middle region is 1e-7 wide: one round of 3 * 333,334 draws fills
+    # the one-million-draw window with an acceptance far below 1/(50m)
+    tess = Tessellation(np.array([[0.5 - 1e-7], [0.5], [0.5 + 1e-7]]))
+    with pytest.raises(tessellation.DegenerateRegionError, match="region 1: acceptance"):
+        sample_region(tess, 1, 333_334, seed=0)
 
 
 def test_sample_region_index_range():
@@ -338,7 +374,7 @@ def test_sample_regions_top_up_short_regions(monkeypatch):
 
 
 def test_sample_regions_single_region_is_the_pool_head():
-    tess = Tessellation(dim=3, generators=np.zeros((1, 3)), kind="CVT")
+    tess = Tessellation(np.zeros((1, 3)))
     pts, topped_up = sample_regions(tess, 50, seed=5)
     assert np.array_equal(pts[0], sample_unit_ball(3, 100, seed=5)[:50])
     assert topped_up == 0
@@ -356,7 +392,7 @@ def tessellations(draw):
     coord = st.floats(-1, 1, allow_nan=False).map(lambda c: c / np.sqrt(dim))
     rows = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=8,
                          unique_by=lambda r: tuple(c + 0.0 for c in r)))
-    return Tessellation(dim=dim, generators=np.array(rows), kind="CVT")
+    return Tessellation(np.array(rows))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -386,12 +422,22 @@ def _sample_moments_agree(a, b):
         assert abs(share - q) <= 5 * np.sqrt(q * (1 - q) * (1 / len(a) + 1 / len(b)))
 
 
+def reversed_e8():
+    """The E8 regions with rows 1..240 reversed: E8 region k is region
+    (241 - k) % 241 here, and the generators are not e8_generators()."""
+    g = e8_generators()
+    return Tessellation(np.vstack([g[:1], g[:0:-1]]))
+
+
 @pytest.mark.parametrize("k", [0, 1, 120, 240])
 def test_e8_sample_region_matches_rejection(e8, k):
-    # the same generators labelled CVT take the plain rejection path; both
-    # are drawn in pieces so that a rejection round's label matrix stays small
-    oracle = Tessellation(dim=8, generators=e8.generators, kind="CVT")
-    expected = np.concatenate([sample_region(oracle, k, 250, seed=100 + s) for s in range(8)])
+    # the same regions in another order derive as CVT and take the plain
+    # rejection path; both are drawn in pieces so that a rejection round's
+    # label matrix stays small
+    oracle = reversed_e8()
+    assert oracle.kind == "CVT"
+    expected = np.concatenate([sample_region(oracle, (241 - k) % 241, 250, seed=100 + s)
+                               for s in range(8)])
     got = np.concatenate([sample_region(e8, k, 250, seed=200 + s) for s in range(8)])
     assert np.all(regions_of(e8, got) == k)
     _sample_moments_agree(got, expected)
@@ -428,7 +474,7 @@ def test_e8_chunk_draw_count(e8, monkeypatch):
 
 def hand_cvt(m, dim, seed):
     g = sample_unit_ball(dim, m, np.random.default_rng(seed)) * 0.9
-    return Tessellation(dim=dim, generators=g, kind="CVT")
+    return Tessellation(g)
 
 
 @pytest.mark.parametrize("m, dim", [(20, 2), (200, 2), (50, 8), (30, 16), (241, 8)])

@@ -6,7 +6,7 @@ import pytest
 
 from tessae.autoencoder import init_params
 from tessae.data import gen_gaussian_ring
-from tessae.tessellation import Tessellation
+from tessae.tessellation import Tessellation, e8_tessellation
 from tessae.trainer import (MetricsLog, TrainConfig, TrainingAborted,
                             _check_finite, build_tessellation, train_baseline,
                             train_twae, train_twae_regularized)
@@ -113,7 +113,7 @@ def test_metrics_csv(tmp_path, ring):
 def test_m1_twae_equals_baseline(ring):
     # five chunks of one step each: five-update trajectory equality
     cfg = small_config(m=1, chunk_size=40, epochs=1)
-    tess = Tessellation(dim=2, generators=np.zeros((1, 2)), kind="CVT")
+    tess = Tessellation(np.zeros((1, 2)))
     p_t, log_t = train_twae(cfg, ring, tess=tess)
     p_b, log_b = train_baseline(cfg, ring, tess=tess)
     assert len(log_t.records) == 5
@@ -217,9 +217,20 @@ def test_whole_chunks_do_not_warn(ring):
 
 
 def test_tessellation_config_mismatch(ring):
-    tess = Tessellation(dim=2, generators=np.zeros((1, 2)), kind="CVT")
+    tess = Tessellation(np.zeros((1, 2)))
     with pytest.raises(ValueError):
         train_twae(small_config(m=4), ring, tess=tess)
+
+
+@pytest.mark.parametrize("config_kind", ["E8", "CVT"])
+def test_tessellation_kind_must_match_config(config_kind):
+    # 241 regions in 8 dimensions either way; only the kinds disagree.  The
+    # E8 rows with 1..240 reversed are the E8 regions, but derive as CVT
+    g = e8_tessellation().generators
+    tess = Tessellation(np.vstack([g[:1], g[:0:-1]])) if config_kind == "E8" else e8_tessellation()
+    config = small_config(tessellation_kind=config_kind, latent_dim=8, m=241, chunk_size=241)
+    with pytest.raises(ValueError, match="tessellation does not match config"):
+        train_twae(config, gen_gaussian_ring(8, 2.0, 0.2, 241, seed=0), tess=tess)
 
 
 def test_check_finite_raises():
