@@ -47,16 +47,17 @@ def _config_parser(prog="tessae"):
     return parser
 
 
-def _read_config_file(path):
-    """The flags of a UTF-8 config file: each `key = value` line is
-    `--key=value`, with `_` read as `-`, so argparse checks it exactly as that
-    flag.  A config file names no other config file."""
+def _read_config_file(path, command):
+    """The flags of a UTF-8 config file for command: each `key = value` line
+    is `--key=value`, with `_` read as `-`, so argparse checks it exactly as
+    that flag, one line at a time so that an error names its line.  A config
+    file names no other config file."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as err:
         raise ValueError(f"{path}: not UTF-8: {err}") from None
-    flags = []
+    line_parser, flags = build_parser(required=False)[0], []
     for lineno, line in enumerate(lines, 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -66,7 +67,12 @@ def _read_config_file(path):
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         if key == "config":
             raise ValueError(f"{path}:{lineno}: a config file cannot name another config file")
-        flags.append(f"--{key.replace('_', '-')}={value}")
+        flag = f"--{key.replace('_', '-')}={value}"
+        try:
+            line_parser.parse_args([command, flag])
+        except ValueError as err:  # an unknown key or a bad value
+            raise ValueError(f"{path}:{lineno}: {err}") from None
+        flags.append(flag)
     return flags
 
 
@@ -239,7 +245,9 @@ def cmd_assign_bench(args):
               f"time={row[4]:.3f}s cost={row[5]:.4f}")
 
 
-def build_parser():
+def build_parser(required=True):
+    """The tessae parser and its commands; required=False builds one that
+    checks a config line on its own, with no flag required."""
     parser = _Parser(prog="tessae")
     sub = parser.add_subparsers(dest="command", required=True)
     common = _config_parser()
@@ -252,8 +260,8 @@ def build_parser():
         return sp
 
     sp = add("cvt", cmd_cvt, help="build and save a CVT of the unit ball")
-    sp.add_argument("--dim", type=_COUNT, required=True)
-    sp.add_argument("--m", type=_COUNT, required=True)
+    sp.add_argument("--dim", type=_COUNT, required=required)
+    sp.add_argument("--m", type=_COUNT, required=required)
     sp.add_argument("--mc-samples", type=_COUNT, default=None)
     sp.add_argument("--max-iters", type=_COUNT, default=100)
     sp.add_argument("--energy-tol", type=_FINITE_GE0, default=1e-4)
@@ -289,8 +297,8 @@ def build_parser():
 
     sp = add("gap", cmd_gap, help="per-region prior-matching gap study")
     add_data_args(sp)
-    sp.add_argument("--checkpoint", required=True, help="checkpoint path prefix")
-    sp.add_argument("--tessellation", required=True, help="tessellation JSON path")
+    sp.add_argument("--checkpoint", required=required, help="checkpoint path prefix")
+    sp.add_argument("--tessellation", required=required, help="tessellation JSON path")
     sp.add_argument("--n", type=_COUNT, default=50)
     sp.add_argument("--trials", type=_COUNT, default=4)
     sp.add_argument("--projections", type=_COUNT, default=256)
@@ -330,7 +338,7 @@ def main(argv=None):
             pre = _config_parser(f"{parser.prog} {argv[0]}")
             cfg_path = pre.parse_known_args(argv[1:])[0].config
             if cfg_path is not None:
-                argv[1:1] = _read_config_file(cfg_path)
+                argv[1:1] = _read_config_file(cfg_path, argv[0])
         args = parser.parse_args(argv)
         _prepare_out(args)
         with np.errstate(over="raise", divide="raise", invalid="raise"):

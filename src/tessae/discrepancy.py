@@ -27,6 +27,8 @@ def _check_pair(a, b, equal_size=True):
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     if equal_size and a.shape[0] != b.shape[0]:
         raise ValueError(f"size mismatch: {a.shape[0]} vs {b.shape[0]}")
+    if not (len(a) and len(b)):
+        raise ValueError(f"empty point set: {len(a)} and {len(b)} points")
     return a, b
 
 
@@ -96,40 +98,38 @@ def sw2_projected(a, b, dirs):
 
 
 def sw2(a, b, num_projections=1000, seed=0):
-    """Sliced squared W2: average 1-D sorted W2 over num_projections
-    random directions on the unit sphere."""
+    """Sliced squared W2, the average 1-D sorted W2 over num_projections
+    random directions on the unit sphere, and its gradient with respect to
+    a, from one direction draw, one projection of each set and one
+    matching; returns (value, gradient)."""
     a, b = _check_pair(a, b)
     dirs = directions(a.shape[1], num_projections, np.random.default_rng(seed))
-    return sw2_projected(a, b, dirs)
+    value, coeff = _matched_diffs((a @ dirs.T).T.copy(), (b @ dirs.T).T.copy())
+    # the product takes coeff C-contiguous (n, L): the transposed view would
+    # round differently
+    return value, (2.0 / (len(a) * num_projections)) * (coeff.T.copy() @ dirs)
 
 
 def _matched_diffs(pa, pb):
-    """Per row of the C-contiguous (L, n) projections: the sorted
-    differences, and the same differences placed back at a's columns.  Ties
-    follow the stable sort, which yields the same sorted values as np.sort.
-    Each row's argsort is offset to flat indices, so the gathers and the
-    scatter run along the contiguous axis."""
+    """Each row of the C-contiguous (L, n) projections matched by stable
+    sort, which yields the same sorted values as np.sort, also where they
+    tie: the sq_diff_mean of the sorted rows, and their differences placed
+    back at a's columns.  Each row's argsort is offset to flat indices, so
+    the gathers and the scatter run along the contiguous axis."""
     offsets = np.arange(0, pa.size, pa.shape[1])[:, None]
     ia = np.argsort(pa, kind="stable")
     ia += offsets
     ib = np.argsort(pb, kind="stable")
     ib += offsets
-    diff = pa.take(ia)
-    diff -= pb.take(ib)
+    sa, sb = pa.take(ia), pb.take(ib)
     coeff = np.empty_like(pa)
-    coeff.put(ia, diff)
-    return diff, coeff
+    coeff.put(ia, sa - sb)
+    return sq_diff_mean(sa, sb, sb), coeff
 
 
 def sw2_gradient(a, b, num_projections=1000, seed=0):
-    """Gradient of sw2 with respect to a; the same seed reproduces the
-    matchings of the paired sw2 call."""
-    a, b = _check_pair(a, b)
-    dirs = directions(a.shape[1], num_projections, np.random.default_rng(seed))
-    _, coeff = _matched_diffs((a @ dirs.T).T.copy(), (b @ dirs.T).T.copy())
-    # the product takes coeff C-contiguous (n, L): the transposed view would
-    # round differently
-    return (2.0 / (len(a) * num_projections)) * (coeff.T.copy() @ dirs)
+    """The gradient of sw2."""
+    return sw2(a, b, num_projections, seed)[1]
 
 
 def _matched_1d(a, b, w):
@@ -200,12 +200,9 @@ def gsw2_value_and_grad(a, b, num_projections=1000, seed=0):
 def _gsw2_at(a, b, pivots):
     """gsw2_value_and_grad of two checked point sets at the given (L, d) pivots."""
     fa = _gsw_features(a, pivots)
-    diff, coeff = _matched_diffs(fa.T.copy(), _gsw_features(b, pivots).T.copy())
-    # the mean and the products take C-contiguous (n, L) arrays, as the
-    # sums run in memory order
-    np.square(diff, out=diff)
-    value = float(diff.T.copy().mean())
-    # d feature / d a_i = (a_i - pivot_l) / fa[i, l]
+    value, coeff = _matched_diffs(fa.T.copy(), _gsw_features(b, pivots).T.copy())
+    # the products take C-contiguous (n, L) coefficients, as the sums run
+    # in memory order; d feature / d a_i = (a_i - pivot_l) / fa[i, l]
     c = (2.0 / (len(a) * len(pivots))) * coeff.T.copy() / fa
     grad = c.sum(axis=1)[:, None] * a - c @ pivots
     return value, grad

@@ -165,6 +165,9 @@ def test_gradient_vector_pinned(estimator):
 @pytest.mark.parametrize("estimator, helper, calls", [
     ("MAXSW", "_matched_1d", 11),  # ASCENT_ITERS + 1 directions, none re-matched
     ("GW", "_moments", 2),  # one per point set
+    ("SW", "directions", 1),
+    ("SW", "_matched_diffs", 1),
+    ("GSW", "directions", 1),
 ])
 def test_latent_estimator_is_one_evaluation(monkeypatch, estimator, helper, calls):
     original, seen = getattr(discrepancy, helper), []

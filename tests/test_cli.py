@@ -370,6 +370,18 @@ def test_gap_malformed_file_is_one_line_naming_it_exit_2(tmp_path, capsys, name,
     assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err, err
 
 
+@pytest.mark.parametrize("text,line,message", [
+    ("# a comment\n\nn = 10\nfrobs = 9\n", 4, "unrecognized arguments: --frobs=9"),
+    ("trials = zero\n", 1, "argument --trials: invalid int value: 'zero'"),
+], ids=["unknown-key", "bad-value"])
+def test_bad_config_line_is_one_line_naming_it_exit_2(tmp_path, capsys, text, line, message):
+    gap_inputs(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert run_gap(tmp_path, "--config", str(cfg)) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:{line}: {message}\n"
+
+
 @pytest.mark.parametrize("argv,message", [
     (["train", *SMALL_TRAIN, "--epochs", "0"], "argument --epochs: must be >= 1, got 0"),
     (["train", *SMALL_TRAIN, "--n-chunk", "0"], "argument --n-chunk: must be >= 1, got 0"),
@@ -529,8 +541,9 @@ def test_one_flag_value_keeps_the_exit_code_contract(gap_files, case):
     value on its small base flags, exits 0, 1 or 2; a failure is one
     `error:` or `check failed:` line, with no traceback and no warning, and
     the value reads the same as `--flag=value` on the command line and as a
-    `flag = value` config line.  (`--flag=value`, because argparse reads a
-    separate `-inf` as an option.)  Huge ints go only to --seed: no flag has
+    `flag = value` config line, where argparse's refusal also names the
+    line.  (`--flag=value`, because argparse reads a separate `-inf` as an
+    option.)  Huge ints go only to --seed: no flag has
     an upper cap, so a huge --count, --m or --trials would allocate or loop
     without bound."""
     (command, flag), value = case
@@ -542,8 +555,11 @@ def test_one_flag_value_keeps_the_exit_code_contract(gap_files, case):
         flag_form = run_captured([command, *(f"--{key}={val}" for key, val in base.items()),
                                   f"--{flag}={value}", "--out", f"{tmp}/flag"])
         config_form = run_captured([command, "--config", cfg, "--out", f"{tmp}/config"])
-    assert flag_form == config_form
     code, err = flag_form
+    if err.startswith(f"error: argument --{flag}: "):
+        assert config_form == (code, err.replace("error: ", f"error: {cfg}:{len(base) + 1}: ", 1))
+    else:
+        assert config_form == flag_form
     assert code in (0, 1, 2)
     if code:
         assert len(err.splitlines()) == 1, err

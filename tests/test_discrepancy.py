@@ -66,6 +66,14 @@ def test_estimator_refuses_a_dimension_mismatch(estimator):
         estimator(np.zeros((6, 2)), np.zeros((6, 3)))
 
 
+@pytest.mark.parametrize("estimator", [wasserstein_exact, sw2, sw2_gradient, max_sw2,
+                                       gw2_value_and_grad, gsw2_value_and_grad, gw2],
+                         ids=lambda f: f.__name__)
+def test_estimator_refuses_an_empty_point_set(estimator):
+    with pytest.raises(ValueError, match="empty point set: 0 and 0 points"):
+        estimator(np.zeros((0, 2)), np.zeros((0, 2)))
+
+
 def test_w2_1d_sorted_examples():
     assert w2_1d_sorted([3, 1, 2], [1, 2, 3]) == 0.0
     assert w2_1d_sorted([0, 0], [1, 1]) == 1.0
@@ -84,17 +92,17 @@ def test_w2_1d_matches_exact_solver():
 
 def test_sw2_identical_zero():
     a = np.random.default_rng(2).standard_normal((10, 4))
-    assert sw2(a, a, 16, seed=0) == 0.0
+    assert sw2(a, a, 16, seed=0)[0] == 0.0
 
 
 def test_sw2_1d_shift():
-    est = sw2(np.array([[0.0]]), np.array([[1.0]]), 8, seed=0)
+    est = sw2(np.array([[0.0]]), np.array([[1.0]]), 8, seed=0)[0]
     assert abs(est - 1.0) < 1e-12
 
 
 def test_sw2_2d_analytic():
     # E[cos^2 theta] = 1/2 for a unit shift along one axis
-    est = sw2(np.zeros((1, 2)), np.array([[1.0, 0.0]]), 10_000, seed=3)
+    est = sw2(np.zeros((1, 2)), np.array([[1.0, 0.0]]), 10_000, seed=3)[0]
     se = np.sqrt(0.125 / 10_000)  # Var(cos^2) = 1/8
     assert abs(est - 0.5) < 3 * se
 
@@ -102,7 +110,7 @@ def test_sw2_2d_analytic():
 def test_sw2_symmetric_same_seed():
     rng = np.random.default_rng(4)
     a, b = rng.standard_normal((8, 3)), rng.standard_normal((8, 3))
-    assert sw2(a, b, 32, seed=5) == sw2(b, a, 32, seed=5)
+    assert sw2(a, b, 32, seed=5)[0] == sw2(b, a, 32, seed=5)[0]
 
 
 def test_sw2_gradient_zero_at_equality():
@@ -114,7 +122,7 @@ def test_sw2_gradient_finite_differences():
     rng = np.random.default_rng(6)
     a, b = rng.standard_normal((8, 4)), rng.standard_normal((8, 4))
     g = sw2_gradient(a, b, 32, seed=7)
-    fd = fd_gradient(lambda x: sw2(x, b, 32, seed=7), a)
+    fd = fd_gradient(lambda x: sw2(x, b, 32, seed=7)[0], a)
     assert np.abs(g - fd).max() / np.abs(fd).max() <= 1e-4
 
 
@@ -146,7 +154,7 @@ def test_max_sw2_dominates_single_random_direction():
     a, b = rng.standard_normal((12, 3)), rng.standard_normal((12, 3)) + 0.5
     est, _, _ = max_sw2(a, b, seed=2)
     for s in range(5):
-        single = sw2(a, b, 1, seed=100 + s)
+        single = sw2(a, b, 1, seed=100 + s)[0]
         assert est >= single - 1e-9
 
 
@@ -167,7 +175,7 @@ def test_gsw2_large_pivot_approaches_sw2():
     rng = np.random.default_rng(12)
     a, b = rng.standard_normal((16, 3)), rng.standard_normal((16, 3)) * 1.2
     r0 = default_pivot_radius(a, b)
-    ref = sw2(a, b, 64, seed=4)
+    ref = sw2(a, b, 64, seed=4)[0]
     dirs = directions(3, 64, np.random.default_rng(4))
     err_near = abs(_gsw2_at(a, b, r0 * dirs)[0] - ref)
     err_far = abs(_gsw2_at(a, b, 100 * r0 * dirs)[0] - ref)
@@ -184,7 +192,7 @@ def test_gsw2_compresses_tangential_displacement():
     rot = 0.1
     b = r * np.column_stack([np.cos(angles + rot), np.sin(angles + rot)])
     gsw = _gsw2_at(a, b, r * directions(2, 512, np.random.default_rng(5)))[0]
-    lin = sw2(a, b, 512, seed=5)
+    lin = sw2(a, b, 512, seed=5)[0]
     assert gsw < lin
 
 
@@ -320,9 +328,9 @@ def point_set_pairs(draw):
 @given(point_set_pairs(), st.integers(1, 16), st.integers(0, 2**32 - 1))
 def test_sw2_nonnegative_and_symmetric(pair, num_projections, seed):
     a, b = pair
-    value = sw2(a, b, num_projections, seed)
+    value = sw2(a, b, num_projections, seed)[0]
     assert value >= 0.0
-    assert value == sw2(b, a, num_projections, seed)
+    assert value == sw2(b, a, num_projections, seed)[0]
 
 
 @pytest.mark.parametrize("n, num_projections, dim", [(10, 64, 2), (1000, 256, 2), (2410, 256, 8)])
@@ -338,6 +346,8 @@ def test_sw2_projected_bit_equals_axis0_formula(n, num_projections, dim):
         pa, pb = np.sort(a @ dirs.T, axis=0), np.sort(b @ dirs.T, axis=0)
         assert np.array_equal(sorted_projections(a, dirs), pa.T)
         assert sw2_projected(a, b, dirs) == float(((pa - pb) ** 2).mean())
+        dirs = directions(dim, num_projections, np.random.default_rng(seed))
+        assert sw2(a, b, num_projections, seed)[0] == sw2_projected(a, b, dirs)
 
 
 def axis0_matched_diffs(pa, pb):
@@ -367,8 +377,11 @@ def test_sw2_gradient_equals_matched_diffs_formula(dim, ties):
     a, b = tied_pair(12, dim, ties)
     for seed in range(5):
         dirs = directions(dim, 64, np.random.default_rng(seed))
-        _, coeff = axis0_matched_diffs(a @ dirs.T, b @ dirs.T)
+        diff, coeff = axis0_matched_diffs(a @ dirs.T, b @ dirs.T)
         want = (2.0 / (len(a) * 64)) * (coeff @ dirs)
+        value, grad = sw2(a, b, 64, seed=seed)
+        assert value == float((diff ** 2).mean())
+        assert grad.tobytes() == want.tobytes()
         assert sw2_gradient(a, b, 64, seed=seed).tobytes() == want.tobytes()
 
 
