@@ -5,7 +5,7 @@ from .autoencoder import (AdamState, AutoEncoderParams, adam_step, decode,
                           save_checkpoint)
 from .batch_design import (AssignmentPlan, distance_matrix, lcm_assign, optimal_assign,
                            sq_dists)
-from .data import Dataset, gen_gaussian_ring, gen_uniform_ball_dataset, load_idx
+from .data import gen_gaussian_ring, gen_uniform_ball_dataset, load_idx
 from .discrepancy import (gsw2_value_and_grad, gw2, gw2_value_and_grad, max_sw2, sw2,
                           sw2_gradient, w2_1d_sorted, wasserstein_exact)
 from .experiments import (RateStudyResult, eq19_check, gap_study, rate_study_sw,

@@ -41,8 +41,8 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _config_parser(prog="tessae"):
-    parser = _Parser(prog=prog, add_help=False)
+def _config_parser():
+    parser = _Parser(add_help=False)
     parser.add_argument("--config", help="key = value config file; flags override")
     return parser
 
@@ -123,7 +123,7 @@ def _load_dataset(args):
         return datamod.gen_uniform_ball_dataset(args.data_dim, args.count, args.seed)
     if not args.idx_images:  # --dataset idx
         raise ValueError("--idx-images required for --dataset idx")
-    return datamod.load_idx(args.idx_images, args.idx_labels)
+    return datamod.load_idx(args.idx_images)
 
 
 def _train_config(args, data_dim):
@@ -155,7 +155,7 @@ def cmd_e8(args):
 
 def cmd_train(args):
     dataset = _load_dataset(args)
-    config = _train_config(args, dataset.dim)
+    config = _train_config(args, dataset.shape[1])
     tess = build_tessellation(config)
     trainers = {"twae": train_twae, "twae-reg": train_twae_regularized,
                 "baseline": train_baseline}
@@ -276,7 +276,6 @@ def build_parser(required=True):
         sp.add_argument("--sigma", type=_FINITE_GT0, default=0.1)
         sp.add_argument("--data-dim", type=_COUNT, default=2)
         sp.add_argument("--idx-images")
-        sp.add_argument("--idx-labels")
 
     sp = add("train", cmd_train, help="train an auto-encoder")
     add_data_args(sp)
@@ -335,7 +334,7 @@ def main(argv=None):
     try:
         # config flags go ahead of the command line's, so the last (a flag) wins
         if argv and argv[0] in commands:
-            pre = _config_parser(f"{parser.prog} {argv[0]}")
+            pre = _config_parser()
             cfg_path = pre.parse_known_args(argv[1:])[0].config
             if cfg_path is not None:
                 argv[1:1] = _read_config_file(cfg_path, argv[0])

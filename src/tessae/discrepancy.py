@@ -54,8 +54,7 @@ def w2_1d_sorted(a, b):
     """Squared W2 of two 1-D samples of equal length by sorting."""
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+    _check_pair(a, b)  # equal lengths, neither zero
     return float(np.mean((np.sort(a) - np.sort(b)) ** 2))
 
 
@@ -79,22 +78,19 @@ def sorted_projections(a, dirs):
     return p
 
 
-def sq_diff_mean(p, q, out):
+def sq_diff_mean(p, q):
     """mean((p - q) ** 2) of two (L, n) sorted projections, bit-equal to the
     mean over their (n, L) transposes: np.mean sums in memory order, so the
-    squares are copied transposed into out first.  p is overwritten with
-    the squares; out is an (L, n) array that may be q but not p."""
+    squares are copied transposed first.  p is overwritten with the squares."""
     np.subtract(p, q, out=p)
     np.square(p, out=p)
-    flat = out.reshape(p.shape[::-1])
-    np.copyto(flat, p.T)
-    return float(flat.mean())
+    return float(p.T.copy().mean())
 
 
 def sw2_projected(a, b, dirs):
     """Mean 1-D sorted squared W2 of a and b projected on the rows of dirs."""
     pa, pb = sorted_projections(a, dirs), sorted_projections(b, dirs)
-    return sq_diff_mean(pa, pb, pb)
+    return sq_diff_mean(pa, pb)
 
 
 def sw2(a, b, num_projections=1000, seed=0):
@@ -124,7 +120,7 @@ def _matched_diffs(pa, pb):
     sa, sb = pa.take(ia), pb.take(ib)
     coeff = np.empty_like(pa)
     coeff.put(ia, sa - sb)
-    return sq_diff_mean(sa, sb, sb), coeff
+    return sq_diff_mean(sa, sb), coeff
 
 
 def sw2_gradient(a, b, num_projections=1000, seed=0):

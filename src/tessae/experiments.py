@@ -111,11 +111,7 @@ def eq19_check(n_points, m, dim, trials, seed=0, out_csv=None):
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n = n_points // m
-    if m == 1:
-        generators = np.zeros((1, dim))
-    else:
-        tess, _ = lloyd_cvt(dim, m, seed=seed)
-        generators = tess.generators
+    generators = lloyd_cvt(dim, m, seed=seed)[0].generators
     margins = []
     for t in range(trials):
         rng = derive_rng(seed, 10, t)
@@ -246,7 +242,7 @@ def gap_study(params, tess, dataset, n, trials=4, num_projections=256,
     if len(dataset) < use:
         raise ValueError(f"dataset of {len(dataset)} points is smaller than "
                          f"m*n = {m}*{n} = {use}")
-    z = encode(params, dataset.points[:use])
+    z = encode(params, dataset[:use])
     clusters = lcm_assign(z, tess.generators, n).grouped(z)
     pairs = np.empty((m + 1, 2, trials))  # [sw2, baseline] per part and trial
     topped_up = 0
@@ -262,9 +258,8 @@ def gap_study(params, tess, dataset, n, trials=4, num_projections=256,
             # one direction set and one sort of prior serve both discrepancies
             dirs = directions(x.shape[1], num_projections, derive_rng(seed, *dirs_key, t))
             pp = sorted_projections(prior, dirs)
-            pairs[j, 0, t] = sq_diff_mean(sorted_projections(x, dirs), pp, np.empty_like(pp))
-            # pp is not read again, so it takes the transposed squares
-            pairs[j, 1, t] = sq_diff_mean(sorted_projections(prior_b, dirs), pp, pp)
+            pairs[j, 0, t] = sq_diff_mean(sorted_projections(x, dirs), pp)
+            pairs[j, 1, t] = sq_diff_mean(sorted_projections(prior_b, dirs), pp)
     means = pairs.mean(axis=2).tolist()
     if out_csv:
         write_csv(out_csv, ["region", "sw2", "baseline"],

@@ -224,9 +224,10 @@ def e8_generators():
 def e8_frames():
     """(240, 8, 8) Weyl-group elements: frames[k] @ e8_roots()[0] == e8_roots()[k].
 
-    With a = root 0 and b = root k, frames[k] is I, -I, the root reflection
-    s(a - b) or -s(a + b), where s(g) = I - g g^T, by a.b = 2, -2, 1 or -1.
-    For a.b = 0 it is s(c - b) s(a - c), c the first root with a.c = c.b = 1.
+    With a = root 0 and b = root k, frames[k] is the root reflection
+    s(a - b), where s(g) = I - g g^T, for a.b = 2 or 1 (s(0) = I), and
+    s(c - b) s(a - c) for a.b = 0, c the first root with a.c = c.b = 1.
+    For a.b < 0 it is -(the frame of -b), as -I is in the Weyl group.
     The entries are dyadic, so products with roots are exact.  The table is
     read-only: every caller shares it.
     """
@@ -238,19 +239,14 @@ def e8_frames():
 
     a = roots[0]
     frames = np.empty((240, 8, 8))
-    for k, b in enumerate(roots):
-        dot = a @ b
-        if dot == 2:
-            frames[k] = eye
-        elif dot == -2:
-            frames[k] = -eye
-        elif dot == 1:
-            frames[k] = reflect(a - b)
-        elif dot == -1:
-            frames[k] = -reflect(a + b)
+    for k, root in enumerate(roots):
+        sign = -1.0 if a @ root < 0 else 1.0
+        b = sign * root  # a.b is 2, 1 or 0
+        if a @ b > 0:
+            frames[k] = sign * reflect(a - b)
         else:
             c = roots[np.flatnonzero((roots @ a == 1) & (roots @ b == 1))[0]]
-            frames[k] = reflect(c - b) @ reflect(a - c)
+            frames[k] = sign * (reflect(c - b) @ reflect(a - c))
     frames.setflags(write=False)
     return frames
 

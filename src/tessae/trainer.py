@@ -165,7 +165,7 @@ def _train(config, dataset, tess, params, batches, alpha):
     log = MetricsLog()
     for epoch in range(config.epochs):
         for c in range(n_chunks):
-            x_chunk = dataset.points[c * config.chunk_size:(c + 1) * config.chunk_size]
+            x_chunk = dataset[c * config.chunk_size:(c + 1) * config.chunk_size]
             cached = None  # (batch_x, prior, est_seed, gradient at previous params)
             for step, (label, batch, prior, lcm_ms) in enumerate(
                     batches(config, tess, params, x_chunk, epoch, c)):

@@ -1,10 +1,10 @@
-"""IDX writers, the inverse of tessae.data.load_idx, for test fixtures."""
+"""The IDX image writer, the inverse of tessae.data.load_idx, for test fixtures."""
 
 import struct
 
 import numpy as np
 
-from tessae.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
+from tessae.data import IDX_IMAGES_MAGIC
 
 
 def write_idx_images(path, images):
@@ -14,10 +14,3 @@ def write_idx_images(path, images):
     with open(path, "wb") as fh:
         fh.write(struct.pack(">4i", IDX_IMAGES_MAGIC, count, rows, cols))
         fh.write(images.tobytes())
-
-
-def write_idx_labels(path, labels):
-    labels = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">2i", IDX_LABELS_MAGIC, len(labels)))
-        fh.write(labels.tobytes())

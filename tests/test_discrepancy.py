@@ -67,7 +67,8 @@ def test_estimator_refuses_a_dimension_mismatch(estimator):
 
 
 @pytest.mark.parametrize("estimator", [wasserstein_exact, sw2, sw2_gradient, max_sw2,
-                                       gw2_value_and_grad, gsw2_value_and_grad, gw2],
+                                       gw2_value_and_grad, gsw2_value_and_grad, gw2,
+                                       w2_1d_sorted],
                          ids=lambda f: f.__name__)
 def test_estimator_refuses_an_empty_point_set(estimator):
     with pytest.raises(ValueError, match="empty point set: 0 and 0 points"):

@@ -5,7 +5,7 @@ import pytest
 
 import tessae.experiments
 import tessae.tessellation
-from tessae.autoencoder import init_params
+from tessae.autoencoder import ForwardNumericalError, init_params
 from tessae.data import gen_gaussian_ring, gen_uniform_ball_dataset
 from tessae.experiments import (eq19_check, gap_study, rate_study_sw,
                                 theorem6_check, variance_check)
@@ -145,6 +145,14 @@ def test_gap_study_needs_enough_data():
     params = init_params([2, 8], 2, seed=0)
     with pytest.raises(ValueError):
         gap_study(params, tess, ds, n=50)
+
+
+def test_gap_study_non_finite_point_is_a_forward_error():
+    # row m*n - 1 is the last point the study encodes
+    ds = gen_gaussian_ring(8, 2.0, 0.2, 100, seed=0)
+    ds[79, 0] = np.nan
+    with pytest.raises(ForwardNumericalError, match="^non-finite activation in encoder layer 0$"):
+        gap_study(init_params([2, 8], 2, seed=0), lloyd_cvt(2, 4, seed=0)[0], ds, n=20)
 
 
 def test_gap_study_csv(tmp_path):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tessae.autoencoder import init_params
+from tessae.autoencoder import ForwardNumericalError, init_params
 from tessae.data import gen_gaussian_ring
 from tessae.tessellation import Tessellation, e8_tessellation
 from tessae.trainer import (MetricsLog, TrainConfig, TrainingAborted,
@@ -214,6 +214,15 @@ def test_whole_chunks_do_not_warn(ring):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         train_twae(small_config(epochs=1), ring)
+
+
+@pytest.mark.parametrize("trainer", [train_twae, train_twae_regularized, train_baseline])
+def test_non_finite_point_stops_training_at_encoder_layer_0(ring, trainer):
+    # the last point of the last chunk: no earlier step has a bad point
+    data = ring.copy()
+    data[199, 1] = np.nan
+    with pytest.raises(ForwardNumericalError, match="^non-finite activation in encoder layer 0$"):
+        trainer(small_config(epochs=1), data)
 
 
 def test_tessellation_config_mismatch(ring):
