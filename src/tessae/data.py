@@ -12,18 +12,6 @@ from .tessellation import sample_unit_ball
 IDX_IMAGES_MAGIC = 0x00000803
 
 
-class IdxError(ValueError):
-    pass
-
-
-class WrongMagicError(IdxError):
-    pass
-
-
-class TruncatedPayloadError(IdxError):
-    pass
-
-
 def gen_gaussian_ring(modes, radius, sigma, count, seed):
     """(count, 2) points of an equal-weight mixture of `modes` isotropic 2-D
     Gaussians centered on a ring of the given radius."""
@@ -51,13 +39,13 @@ def load_idx(path):
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 16:
-        raise TruncatedPayloadError(f"{path}: truncated header")
-    magic, count, rows, cols = struct.unpack(">4i", raw[:16])
+        raise ValueError(f"{path}: truncated header")
+    magic, count, rows, cols = struct.unpack(">4I", raw[:16])
     if magic != IDX_IMAGES_MAGIC:
-        raise WrongMagicError(f"{path}: magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
+        raise ValueError(f"{path}: magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
     expected, payload = count * rows * cols, raw[16:]
     if len(payload) < expected:
-        raise TruncatedPayloadError(f"{path}: expected {expected} pixels, found {len(payload)}")
+        raise ValueError(f"{path}: expected {expected} pixels, found {len(payload)}")
     pixels = np.frombuffer(payload[:expected], dtype=np.uint8)
     return pixels.reshape(count, rows * cols).astype(float) / 255.0
 

@@ -45,7 +45,8 @@ class Tessellation:
             raise ValueError("generators must be finite")
         if np.any(np.linalg.norm(g, axis=1) > 1.0 + 1e-12):
             raise ValueError("generators must lie in the closed unit ball")
-        if len(np.unique(g, axis=0)) != len(g):
+        rows = g[np.lexsort(g.T)]  # equal rows are neighbours; -0.0 equals 0.0
+        if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
             raise ValueError("generators must be pairwise distinct")
         e8 = g.shape == (241, 8) and np.array_equal(g, e8_generators())
         for name, value in (("generators", g), ("dim", g.shape[1]), ("kind", E8 if e8 else CVT)):

@@ -12,5 +12,5 @@ def write_idx_images(path, images):
     images = np.asarray(images, dtype=np.uint8)
     count, rows, cols = images.shape
     with open(path, "wb") as fh:
-        fh.write(struct.pack(">4i", IDX_IMAGES_MAGIC, count, rows, cols))
+        fh.write(struct.pack(">4I", IDX_IMAGES_MAGIC, count, rows, cols))
         fh.write(images.tobytes())

@@ -342,6 +342,19 @@ def test_gap_wrong_typed_json_is_one_line_exit_2(tmp_path, capsys, which, key, v
     assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
 
 
+@pytest.mark.parametrize("tess_dim,flags,message", [
+    (3, [], "tessellation dim 3 does not match encoder latent dim 2"),
+    (2, ["--dataset", "ball", "--data-dim", "3"],
+     "dataset width 3 does not match encoder input width 2"),
+], ids=["tessellation-dim", "dataset-width"])
+def test_gap_mismatched_inputs_are_one_line_naming_both_sides(tmp_path, capsys, tess_dim, flags,
+                                                               message):
+    gap_inputs(tmp_path)
+    (tmp_path / "tess.json").write_text(lloyd_cvt(tess_dim, 20, seed=0)[0].to_json())
+    assert run_gap(tmp_path, *flags) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 CVT_FILE = {"dim": 2, "kind": "CVT", "generators": [[0.1, 0.2], [0.3, -0.4]]}
 
 

@@ -1,8 +1,10 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
-from tessae.data import (TruncatedPayloadError, WrongMagicError, gen_gaussian_ring,
-                         gen_uniform_ball_dataset, load_idx)
+from tessae.data import IDX_IMAGES_MAGIC, gen_gaussian_ring, gen_uniform_ball_dataset, load_idx
 from idx_fixtures import write_idx_images
 
 
@@ -72,7 +74,8 @@ def test_idx_wrong_magic(tmp_path):
     raw[3] = 0x02  # magic 0x00000802
     bad = tmp_path / "bad.idx"
     bad.write_bytes(bytes(raw))
-    with pytest.raises(WrongMagicError):
+    message = f"^{re.escape(str(bad))}: magic 0x00000802, expected 0x00000803$"
+    with pytest.raises(ValueError, match=message):
         load_idx(str(bad))
 
 
@@ -81,7 +84,19 @@ def test_idx_truncated(tmp_path):
     raw = open(img_path, "rb").read()
     bad = tmp_path / "trunc.idx"
     bad.write_bytes(raw[:-3])
-    with pytest.raises(TruncatedPayloadError):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: expected 8 pixels, found 5$"):
+        load_idx(str(bad))
+
+
+@pytest.mark.parametrize("count, rows, cols, expected", [
+    (0xFFFFFFFF, 1, 4, 0xFFFFFFFF * 4),  # read signed: count -1, 8 bytes load as (2, 4)
+    (3, 0xFFFFFFFE, 0xFFFFFFFE, 3 * 0xFFFFFFFE ** 2),  # read signed: rows * cols 4, (3, 4)
+], ids=["count", "rows-cols"])
+def test_idx_header_sizes_are_unsigned(tmp_path, count, rows, cols, expected):
+    bad = tmp_path / "huge.idx"
+    bad.write_bytes(struct.pack(">4I", IDX_IMAGES_MAGIC, count, rows, cols) + bytes(12))
+    message = f"^{re.escape(str(bad))}: expected {expected} pixels, found 12$"
+    with pytest.raises(ValueError, match=message):
         load_idx(str(bad))
 
 

@@ -1,13 +1,16 @@
 import hashlib
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate, special, stats
 
 import tessae.experiments
 import tessae.tessellation
 from tessae.autoencoder import ForwardNumericalError, init_params
 from tessae.data import gen_gaussian_ring, gen_uniform_ball_dataset
-from tessae.experiments import (eq19_check, gap_study, rate_study_sw,
+from tessae.experiments import (_sw2_gaussian_ball, eq19_check, gap_study, rate_study_sw,
                                 theorem6_check, variance_check)
 from tessae.tessellation import e8_tessellation, lloyd_cvt, sample_unit_ball
 
@@ -97,7 +100,7 @@ def test_rate_study_preconditions():
 
 def test_rate_study_slope_stability(tmp_path):
     kwargs = dict(dim=16, n_grid=[64, 128, 256, 512, 1024],
-                  num_projections=200, ref_n=50_000)
+                  num_projections=200)
     r1a, r2a = rate_study_sw(trials=20, seed=0,
                              out_csv=str(tmp_path / "rates.csv"), **kwargs)
     r1b, r2b = rate_study_sw(trials=40, seed=0, **kwargs)
@@ -106,6 +109,44 @@ def test_rate_study_slope_stability(tmp_path):
     assert (tmp_path / "rates_qn.csv").exists()
     assert (tmp_path / "rates_pnpn.csv").exists()
     assert r2a.slope < -0.5  # same-distribution statistic decays fast
+
+
+def test_sw2_gaussian_ball_closed_forms():
+    # d = 1: W2^2 of N(0, 1) and U[-1, 1], 1 + 1/3 - 2 E|Z|
+    assert abs(_sw2_gaussian_ball(1) - (4 / 3 - 2 / np.sqrt(np.pi))) < 1e-12
+    # large d: the ball's marginal is near N(0, 1/(d+2)), a Gaussian scale change
+    d = 10_000
+    assert abs(_sw2_gaussian_ball(d) - (1 - 1 / np.sqrt(d + 2)) ** 2) < 1e-5
+
+
+def test_sw2_gaussian_ball_matches_the_quantile_integral_and_sorted_draws():
+    # d = 8: the full 1-D W2^2, the integral over u of (Phi^-1(u) - (2 B^-1(u) - 1))^2
+    exact = _sw2_gaussian_ball(8)
+    whole, _ = integrate.quad(lambda u: (special.ndtri(u) - 2 * special.betaincinv(4.5, 4.5, u)
+                                         + 1) ** 2, 0, 1, limit=200)
+    assert abs(exact - whole) < 1e-8
+    # 10^6 sorted draws of each marginal; seeds 0 to 4 gave 0.4665 to 0.4701
+    rng = np.random.default_rng(0)
+    z = np.sort(rng.standard_normal(1_000_000))
+    u = np.sort(2 * stats.beta.rvs(4.5, 4.5, size=1_000_000, random_state=rng) - 1)
+    assert abs(exact - np.mean((z - u) ** 2)) < 0.005
+
+
+def test_sw2_gaussian_ball_is_warning_free():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # scipy's IntegrationWarning is a UserWarning
+        for d in (1, 2, 8, 64, 1000):
+            _sw2_gaussian_ball(d)
+
+
+def test_rate_study_traced_peak_is_below_16_mb():
+    tracemalloc.start()
+    try:
+        rate_study_sw(64, [32, 64], trials=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
 
 def test_gap_study_untrained_vs_perfect(monkeypatch):
@@ -170,7 +211,7 @@ def test_gap_study_csv(tmp_path):
 def test_rate_study_writes_next_to_out_csv(tmp_path):
     # a ".csv" earlier in the path stays as it is
     (tmp_path / "runs.csv").mkdir()
-    rate_study_sw(2, [32, 64], trials=20, num_projections=8, ref_n=256,
+    rate_study_sw(2, [32, 64], trials=20, num_projections=8,
                   out_csv=str(tmp_path / "runs.csv" / "rates.csv"))
     assert sorted(p.name for p in (tmp_path / "runs.csv").iterdir()) == \
         ["rates_pnpn.csv", "rates_qn.csv"]
@@ -181,7 +222,7 @@ CSV_SHA256 = {
     "eq19.csv": "2821eb0ef6d786a7d5d5f87dc1b128f9e5d3e3fd182bd0e0bf215f1e60df15e7",
     "gap.csv": "3c4ff11a2a191b258c980d76b653c0c9864d38a29a8b0f1ef877d1b1f77e9bf9",
     "rates_pnpn.csv": "44d04a0d3fbef813559ae40ba6389bafb7728c9e884598616d39831886fff4cd",
-    "rates_qn.csv": "e6615289293e7eb21cacf4e0c813ba2c10da71fedfedf7d6b73387440c57d57a",
+    "rates_qn.csv": "a5b77a058d1c89109347bde93e3120e68fb8e9502af0df7c1a2267a82bb17b0d",
     "theorem6.csv": "d7cc08151a433bd347e211542ce326247ccde8c63c92c7465ce43b3fa266ca5c",
     "variance.csv": "c016c7cea1a7f6c47ebd81b7d653de77c74002bd12c5da2e59550bf616ec1195",
 }
@@ -194,7 +235,7 @@ def test_csv_bytes_pinned(tmp_path):
     gap_study(init_params([2, 8], 2, seed=0), lloyd_cvt(2, 2, seed=0)[0],
               gen_gaussian_ring(8, 2.0, 0.2, 100, seed=0), n=20, trials=2,
               num_projections=32, seed=0, out_csv=str(tmp_path / "gap.csv"))
-    rate_study_sw(2, [32, 64], trials=20, num_projections=8, ref_n=256,
+    rate_study_sw(2, [32, 64], trials=20, num_projections=8,
                   out_csv=str(tmp_path / "rates.csv"))
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in tmp_path.iterdir()} == CSV_SHA256

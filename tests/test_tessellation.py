@@ -79,6 +79,8 @@ def test_tessellation_invariants():
         Tessellation(np.array([[1.5]]))
     with pytest.raises(ValueError):
         Tessellation(np.array([[0.5], [0.5]]))
+    with pytest.raises(ValueError, match="^generators must be pairwise distinct$"):
+        Tessellation(np.array([[0.0, 0.5], [0.3, 0.1], [-0.0, 0.5]]))  # -0.0 == 0.0
     for shape in ((1, 0), (0, 2), (2,)):
         with pytest.raises(ValueError, match=r"generators must be \(m, dim\) with m, dim >= 1"):
             Tessellation(np.zeros(shape))
