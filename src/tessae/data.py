@@ -43,6 +43,8 @@ def load_idx(path):
     magic, count, rows, cols = struct.unpack(">4I", raw[:16])
     if magic != IDX_IMAGES_MAGIC:
         raise ValueError(f"{path}: magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
+    if count == 0 or rows * cols == 0:
+        raise ValueError(f"{path}: no points in {count} images of {rows} x {cols} pixels")
     expected, payload = count * rows * cols, raw[16:]
     if len(payload) < expected:
         raise ValueError(f"{path}: expected {expected} pixels, found {len(payload)}")

@@ -93,6 +93,15 @@ def build_tessellation(config):
 
 
 def _init(config, dataset, tess, params):
+    if params is None:
+        params = init_params(config.layer_sizes, config.latent_dim, config.seed)
+    for part, have, want in (("layer_sizes", list(params.layer_sizes), list(config.layer_sizes)),
+                             ("latent_dim", params.latent_dim, config.latent_dim)):
+        if have != want:
+            raise ValueError(f"params {part} {have} does not match config {part} {want}")
+    if np.ndim(dataset) != 2 or dataset.shape[1] != params.layer_sizes[0]:
+        raise ValueError(f"dataset shape {np.shape(dataset)} does not match config shape "
+                         f"(N, {params.layer_sizes[0]})")
     if len(dataset) < config.chunk_size:
         raise ValueError(f"dataset of {len(dataset)} points is smaller than one chunk "
                          f"of {config.chunk_size}")
@@ -100,8 +109,6 @@ def _init(config, dataset, tess, params):
     if (tess.region_count, tess.dim, tess.kind) != (config.m, config.latent_dim,
                                                     config.tessellation_kind):
         raise ValueError("tessellation does not match config")
-    if params is None:
-        params = init_params(config.layer_sizes, config.latent_dim, config.seed)
     adam = AdamState.init(params, lr=config.learning_rate)
     n_chunks, tail = divmod(len(dataset), config.chunk_size)
     if tail:
@@ -118,77 +125,77 @@ def _check_finite(recon, latent, epoch, chunk, region):
             f"recon={recon} latent={latent}")
 
 
-def _loss(config, params, batch, prior, seed):
-    return loss_and_grad(params, batch, prior, config.lam, config.estimator,
-                         config.estimator_config, seed=seed)
+def _loss(config, params, batches, priors, seeds, step):
+    return loss_and_grad(params, batches[step], priors[step], config.lam, config.estimator,
+                         config.estimator_config, seed=seeds[step])
 
 
-def _tessellated_batches(config, tess, params, x_chunk, epoch, c):
+def _tessellated_chunk(config, tess, params, x_chunk, key):
     """Encode the chunk, solve the capacitated least-cost assignment to the
-    generators, then yield (region, batch, prior, lcm_ms) per region in
-    shuffled order, the prior drawn inside that region."""
+    generators and shuffle the regions into step order: labels (m,), their
+    batches (m, n, d) and priors (m, n, latent), estimator seeds, lcm_ms."""
     n = config.region_batch
     z = encode(params, x_chunk)
     t0 = time.perf_counter()
     plan = lcm_assign(z, tess.generators, n)
     lcm_ms = (time.perf_counter() - t0) * 1e3
-    grouped = plan.grouped(x_chunk)
-    order = derive_rng(config.seed, epoch, c, 0, _REGION_SHUFFLE).permutation(config.m)
-    for step, k in enumerate(int(k) for k in order):
-        prior = sample_region(tess, k, n, derive_rng(config.seed, epoch, c, step, _PRIOR))
-        yield k, grouped[k], prior, lcm_ms
+    labels = derive_rng(*key, 0, _REGION_SHUFFLE).permutation(config.m)
+    priors = np.stack([sample_region(tess, k, n, derive_rng(*key, step, _PRIOR))
+                       for step, k in enumerate(labels.tolist())])
+    return (labels, plan.grouped(x_chunk)[labels], priors,
+            [derive_seed(*key, step, _EST) for step in range(config.m)], lcm_ms)
 
 
-def _random_batches(config, tess, params, x_chunk, epoch, c):
-    """Yield (step, batch, prior, 0.0) for m random batches of the chunk,
-    the prior drawn from the whole ball."""
+def _random_chunk(config, tess, params, x_chunk, key):
+    """_tessellated_chunk's arrays for m random batches of the chunk,
+    labelled by step, the priors drawn from the whole ball; lcm_ms is 0."""
+    m, n = config.m, config.region_batch
+    perm = derive_rng(*key, 0, _BATCH_SHUFFLE).permutation(config.chunk_size)
+    # sorted rows: at m=1 the batch is train_twae's, bit for bit
+    batches = x_chunk[np.sort(perm.reshape(m, n), axis=1)]
+    priors = [sample_unit_ball(config.latent_dim, n, derive_rng(*key, s, _PRIOR)) for s in range(m)]
+    seeds = [derive_seed(*key, s, _EST) for s in range(m)]
+    return np.arange(m), batches, np.stack(priors), seeds, 0.0
+
+
+def _support_chunk(config, x_chunk, key, steps):
+    """The regularizer's whole-support batches (steps, n, d), priors
+    (steps, n, latent) and seeds; reshape gives zero steps empty arrays."""
     n = config.region_batch
-    perm = derive_rng(config.seed, epoch, c, 0, _BATCH_SHUFFLE).permutation(config.chunk_size)
-    for step in range(config.m):
-        # batch composition is random; index order is normalized so
-        # that the m=1 case reduces bit-exactly to train_twae
-        idx = np.sort(perm[step * n:(step + 1) * n])
-        prior = sample_unit_ball(config.latent_dim, n,
-                                 derive_rng(config.seed, epoch, c, step, _PRIOR))
-        yield step, x_chunk[idx], prior, 0.0
+    idx = np.array([derive_rng(*key, s, _SUPPORT_IDX).choice(len(x_chunk), n, replace=False)
+                    for s in range(steps)], dtype=np.intp).reshape(steps, n)
+    priors = np.array([sample_unit_ball(config.latent_dim, n, derive_rng(*key, s, _SUPPORT_PRIOR))
+                       for s in range(steps)]).reshape(steps, n, config.latent_dim)
+    seeds = [derive_seed(*key, s, _SUPPORT_EST) for s in range(steps)]
+    return x_chunk[np.sort(idx, axis=1)], priors, seeds
 
 
-def _train(config, dataset, tess, params, batches, alpha):
-    """One Adam step per batch that batches(config, tess, params, x_chunk,
-    epoch, chunk) yields for each chunk.  With alpha > 0 each step adds
-    alpha * (grad of the previous step's whole-support batch at the current
-    parameters minus its cached gradient at the previous parameters); the
-    support batch, its prior sample and its projection seed are shared
-    between the two evaluations."""
+def _train(config, dataset, tess, params, form_chunk, alpha):
+    """One Adam step per batch of the arrays that form_chunk(config, tess,
+    params, x_chunk, (seed, epoch, chunk)) returns.  With alpha > 0 each step
+    after the first adds alpha * (grad of the previous step's whole-support
+    batch at the current parameters minus its gradient at the previous
+    parameters); the two share the support batch, prior and projection seed."""
     tess, params, adam, n_chunks = _init(config, dataset, tess, params)
-    n = config.region_batch
     log = MetricsLog()
     for epoch in range(config.epochs):
         for c in range(n_chunks):
             x_chunk = dataset[c * config.chunk_size:(c + 1) * config.chunk_size]
-            cached = None  # (batch_x, prior, est_seed, gradient at previous params)
-            for step, (label, batch, prior, lcm_ms) in enumerate(
-                    batches(config, tess, params, x_chunk, epoch, c)):
+            key = (config.seed, epoch, c)
+            labels, *chunk, lcm_ms = form_chunk(config, tess, params, x_chunk, key)
+            supported = config.m - 1 if alpha != 0.0 else 0  # no step uses the last's support
+            support = _support_chunk(config, x_chunk, key, supported)
+            for step, label in enumerate(labels.tolist()):
                 t1 = time.perf_counter()
-                key = (config.seed, epoch, c, step)
-                recon, latent, grads = _loss(config, params, batch, prior, derive_seed(*key, _EST))
+                recon, latent, grads = _loss(config, params, *chunk, step)
                 _check_finite(recon, latent, epoch, c, label)
-                if alpha != 0.0:
-                    if cached is not None:
-                        s_batch, s_prior, s_seed, g_prev = cached
-                        _, _, g_now = _loss(config, params, s_batch, s_prior, s_seed)
-                        grads = grads + alpha * g_now + -alpha * g_prev
-                    # cache the fresh support gradient at the pre-update params
-                    s_idx = derive_rng(*key, _SUPPORT_IDX).choice(len(x_chunk), n, replace=False)
-                    s_batch = x_chunk[np.sort(s_idx)]
-                    s_prior = sample_unit_ball(config.latent_dim, n,
-                                               derive_rng(*key, _SUPPORT_PRIOR))
-                    s_seed = derive_seed(*key, _SUPPORT_EST)
-                    _, _, g_support = _loss(config, params, s_batch, s_prior, s_seed)
-                    cached = (s_batch, s_prior, s_seed, g_support)
+                if 0 < step <= supported:
+                    _, _, g_now = _loss(config, params, *support, step - 1)
+                    grads = grads + alpha * g_now + -alpha * g_prev
+                if step < supported:  # this step's support at the pre-update params
+                    _, _, g_prev = _loss(config, params, *support, step)
                 params, adam = adam_step(params, adam, grads)
-                step_ms = (time.perf_counter() - t1) * 1e3
-                log.add(epoch, c, label, recon, latent, lcm_ms, step_ms)
+                log.add(epoch, c, label, recon, latent, lcm_ms, (time.perf_counter() - t1) * 1e3)
     return params, log
 
 
@@ -197,17 +204,17 @@ def train_twae(config, dataset, tess=None, params=None):
     capacitated least-cost assignment to the generators, then take one
     Adam step per region against prior samples drawn inside that region.
     config.alpha is ignored."""
-    return _train(config, dataset, tess, params, _tessellated_batches, alpha=0.0)
+    return _train(config, dataset, tess, params, _tessellated_chunk, alpha=0.0)
 
 
 def train_twae_regularized(config, dataset, tess=None, params=None):
     """train_twae plus the non-identical-batch correction weighted by
     config.alpha (see _train)."""
-    return _train(config, dataset, tess, params, _tessellated_batches, config.alpha)
+    return _train(config, dataset, tess, params, _tessellated_chunk, config.alpha)
 
 
 def train_baseline(config, dataset, tess=None, params=None):
     """Non-tessellated control: same loss and optimizer, random batches of
     size chunk_size/m and prior samples from the whole ball.  The
     tessellation is only validated for config parity, never used."""
-    return _train(config, dataset, tess, params, _random_batches, alpha=0.0)
+    return _train(config, dataset, tess, params, _random_chunk, alpha=0.0)

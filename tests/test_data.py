@@ -100,6 +100,15 @@ def test_idx_header_sizes_are_unsigned(tmp_path, count, rows, cols, expected):
         load_idx(str(bad))
 
 
+@pytest.mark.parametrize("shape", [(300, 0, 5), (0, 2, 2)], ids=["no-pixels", "no-images"])
+def test_idx_empty_image_set_rejected(tmp_path, shape):
+    bad = tmp_path / "empty.idx"
+    write_idx_images(bad, np.zeros(shape, dtype=np.uint8))
+    message = "{}: no points in {} images of {} x {} pixels".format(bad, *shape)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_idx(str(bad))
+
+
 @pytest.mark.parametrize("radius, sigma, message", [
     (float("nan"), 0.1, "radius must be finite, got nan"),
     (1.0, float("inf"), "sigma must be finite, got inf"),

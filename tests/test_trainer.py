@@ -1,12 +1,15 @@
 import hashlib
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from tessae.autoencoder import ForwardNumericalError, init_params
+import tessae.trainer as trainer_module
+from tessae.autoencoder import ForwardNumericalError, encode, init_params
+from tessae.batch_design import lcm_assign
 from tessae.data import gen_gaussian_ring
-from tessae.tessellation import Tessellation, e8_tessellation
+from tessae.tessellation import Tessellation, e8_tessellation, regions_of
 from tessae.trainer import (MetricsLog, TrainConfig, TrainingAborted,
                             _check_finite, build_tessellation, train_baseline,
                             train_twae, train_twae_regularized)
@@ -240,6 +243,92 @@ def test_tessellation_kind_must_match_config(config_kind):
     config = small_config(tessellation_kind=config_kind, latent_dim=8, m=241, chunk_size=241)
     with pytest.raises(ValueError, match="tessellation does not match config"):
         train_twae(config, gen_gaussian_ring(8, 2.0, 0.2, 241, seed=0), tess=tess)
+
+
+@pytest.mark.parametrize("trainer", [train_twae, train_twae_regularized, train_baseline])
+@pytest.mark.parametrize("inputs, message", [
+    (dict(params=init_params([2, 32], 2, 0)),
+     "params layer_sizes [2, 32] does not match config layer_sizes [2, 16]"),
+    (dict(params=init_params([2, 16], 3, 0)), "params latent_dim 3 does not match config latent_dim 2"),
+    (dict(dataset=np.zeros((200, 3))), "dataset shape (200, 3) does not match config shape (N, 2)"),
+    (dict(dataset=np.zeros(200)), "dataset shape (200,) does not match config shape (N, 2)"),
+], ids=["params-hidden", "params-latent", "dataset-width", "dataset-1d"])
+def test_inputs_must_match_config_in_one_line_naming_both_sides(ring, trainer, inputs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        trainer(small_config(), inputs.get("dataset", ring), params=inputs.get("params"))
+
+
+@pytest.fixture
+def loss_calls(monkeypatch):
+    calls, loss_and_grad = [], trainer_module.loss_and_grad
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return loss_and_grad(*args, **kwargs)
+
+    monkeypatch.setattr(trainer_module, "loss_and_grad", counted)
+    return calls
+
+
+def test_regularized_makes_3m_minus_2_losses_per_chunk(ring, loss_calls):
+    # m region losses, and m-1 support batches each evaluated twice: the
+    # last step's support would only be used by a step the chunk lacks
+    train_twae_regularized(small_config(epochs=1), ring)
+    assert len(loss_calls) == 5 * 10
+
+
+def test_m1_regularized_makes_one_loss_per_chunk_and_equals_plain(ring, loss_calls):
+    cfg = small_config(m=1, epochs=1, alpha=0.2)
+    tess = Tessellation(np.zeros((1, 2)))
+    p_reg, log_reg = train_twae_regularized(cfg, ring, tess=tess)
+    assert len(loss_calls) == 5
+    p_plain, log_plain = train_twae(cfg, ring, tess=tess)
+    assert params_equal(p_reg, p_plain)
+    keys = ("epoch", "chunk", "region", "recon", "latent")
+    assert [[r[k] for k in keys] for r in log_reg.records] == \
+           [[r[k] for k in keys] for r in log_plain.records]
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, dict(tessellation_kind="E8", latent_dim=8, m=241, chunk_size=2410),
+], ids=["cvt", "e8"])
+def test_tessellated_chunk_arrays(overrides):
+    cfg = small_config(**overrides)
+    m, n = cfg.m, cfg.region_batch
+    x_chunk = gen_gaussian_ring(8, 2.0, 0.2, cfg.chunk_size, seed=0)
+    tess = build_tessellation(cfg)
+    params = init_params(cfg.layer_sizes, cfg.latent_dim, cfg.seed)
+    labels, batches, priors, seeds, lcm_ms = trainer_module._tessellated_chunk(
+        cfg, tess, params, x_chunk, (cfg.seed, 0, 0))
+    assert sorted(labels.tolist()) == list(range(m))
+    assert batches.shape == (m, n, 2) and priors.shape == (m, n, cfg.latent_dim)
+    assert len(seeds) == m and lcm_ms >= 0.0
+    assignment = lcm_assign(encode(params, x_chunk), tess.generators, n).assignment
+    for s, k in enumerate(labels):
+        assert np.array_equal(batches[s], x_chunk[assignment == k])
+        assert np.all(regions_of(tess, priors[s]) == k)
+
+
+def test_random_chunk_arrays():
+    cfg = small_config()
+    m, n = cfg.m, cfg.region_batch
+    x_chunk = gen_gaussian_ring(8, 2.0, 0.2, cfg.chunk_size, seed=0)
+    labels, batches, priors, seeds, lcm_ms = trainer_module._random_chunk(
+        cfg, None, None, x_chunk, (cfg.seed, 0, 0))
+    assert labels.tolist() == list(range(m)) and len(seeds) == m and lcm_ms == 0.0
+    assert batches.shape == (m, n, 2) and priors.shape == (m, n, cfg.latent_dim)
+    # the m batches partition the chunk
+    assert sorted(map(tuple, batches.reshape(-1, 2))) == sorted(map(tuple, x_chunk))
+    assert np.all(np.linalg.norm(priors, axis=2) <= 1.0)
+
+
+@pytest.mark.parametrize("steps", [0, 3])
+def test_support_chunk_shapes(steps):
+    cfg = small_config()
+    x_chunk = gen_gaussian_ring(8, 2.0, 0.2, cfg.chunk_size, seed=0)
+    batches, priors, seeds = trainer_module._support_chunk(cfg, x_chunk, (cfg.seed, 0, 0), steps)
+    assert batches.shape == (steps, 10, 2) and priors.shape == (steps, 10, 2)
+    assert len(seeds) == steps
 
 
 def test_check_finite_raises():
