@@ -2,7 +2,7 @@
 
 from .autoencoder import (AdamState, AutoEncoderParams, adam_step, decode,
                           encode, init_params, load_checkpoint, loss_and_grad,
-                          save_checkpoint)
+                          loss_and_grad_many, save_checkpoint)
 from .batch_design import (AssignmentPlan, distance_matrix, lcm_assign, optimal_assign,
                            sq_dists)
 from .data import gen_gaussian_ring, gen_uniform_ball_dataset, load_idx

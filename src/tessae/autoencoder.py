@@ -20,6 +20,12 @@ class ForwardNumericalError(RuntimeError):
         self.layer = layer
 
 
+# what a loss raises on a non-finite value: ForwardNumericalError and
+# discrepancy.NumericalFailure, FloatingPointError under np.errstate(...="raise")
+# and RuntimeWarning under a warnings "error" filter
+NUMERIC_FAILURES = (RuntimeError, ArithmeticError, RuntimeWarning)
+
+
 @functools.lru_cache(maxsize=None)
 def _layer_shapes(layer_sizes, latent_dim):
     """For the layer_sizes tuple: ((fan_in, fan_out), W offset, b offset,
@@ -91,14 +97,15 @@ def _forward(layers, x, stack):
 
 
 def _backward(layers, acts, dout, grads):
-    """dout is dL/d(output); writes each layer's (dW, db) into the (W, b)
-    views of grads and returns dL/d(first layer's pre-activation).  A hidden
-    output is positive exactly where its finite pre-activation is."""
+    """dout is dL/d(output) of a (k, n, .) stack; writes each layer's
+    (dW, db), summed per slice, into the (k, ., .) and (k, .) views of grads
+    and returns dL/d(first layer's pre-activation).  A hidden output is
+    positive exactly where its finite pre-activation is."""
     dz = dout
     for idx in range(len(layers) - 1, -1, -1):
         gw, gb = grads[idx]
-        np.matmul(acts[idx].T, dz, out=gw)
-        dz.sum(axis=0, out=gb)
+        np.matmul(acts[idx].transpose(0, 2, 1), dz, out=gw)
+        dz.sum(axis=1, out=gb)
         if idx:
             dz = (dz @ layers[idx][0].T) * (acts[idx] > 0)
     return dz
@@ -115,22 +122,76 @@ def decode(params, z):
 ESTIMATORS = ("SW", "GW", "MAXSW", "GSW")  # the latent discrepancies loss_and_grad knows
 
 
-def _latent_value_and_grad(z, prior, estimator, num_projections, seed):
+def _latent_values_and_grads(z, prior, estimator, num_projections, seeds):
+    """Values (k,) and gradients (k, n, latent) of the stacked latent sets:
+    SW in one stacked call, the others one slice at a time."""
     if estimator == "SW":
-        return dsc.sw2(z, prior, num_projections, seed)
+        return dsc.sw2(z, prior, num_projections, seeds)
     if estimator == "GW":
-        return dsc.gw2_value_and_grad(z, prior)
-    if estimator == "MAXSW":
-        value, _, grad = dsc.max_sw2(z, prior, seed=seed)
-        return value, grad
-    if estimator == "GSW":
-        return dsc.gsw2_value_and_grad(z, prior, num_projections, seed=seed)
-    raise ValueError(f"unknown estimator {estimator!r}")
+        pairs = [dsc.gw2_value_and_grad(a, b) for a, b in zip(z, prior)]
+    elif estimator == "MAXSW":
+        pairs = [dsc.max_sw2(a, b, seed=s)[::2]  # (value, gradient)
+                 for a, b, s in zip(z, prior, seeds)]
+    elif estimator == "GSW":
+        pairs = [dsc.gsw2_value_and_grad(a, b, num_projections, seed=s)
+                 for a, b, s in zip(z, prior, seeds)]
+    else:
+        raise ValueError(f"unknown estimator {estimator!r}")
+    return np.array([v for v, _ in pairs]), np.array([g for _, g in pairs])
+
+
+def loss_and_grad_many(params, batches, priors, lam, estimator, estimator_config, seeds):
+    """loss_and_grad of k batches (k, n, d) against their priors
+    (k, n, latent) and estimator seeds, at the same params, in one pass:
+    returns recon (k,), latent (k,) and grads (k, P), each slice bit-equal
+    to its own loss_and_grad.  Where a stack fails, its slices are re-run
+    one at a time, so the error raised is the first failing slice's, as k
+    calls would raise it."""
+    batches = np.asarray(batches, dtype=float)
+    priors = np.asarray(priors, dtype=float)
+    if batches.shape[:2] != priors.shape[:2]:
+        raise ValueError("batch and prior batch sizes differ")
+    try:
+        return _stacked_loss(params, batches, priors, lam, estimator, estimator_config, seeds)
+    except NUMERIC_FAILURES:
+        if len(batches) == 1:
+            raise
+        parts = [_stacked_loss(params, batches[i:i + 1], priors[i:i + 1], lam, estimator,
+                               estimator_config, seeds[i:i + 1]) for i in range(len(batches))]
+        return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def _stacked_loss(params, batches, priors, lam, estimator, estimator_config, seeds):
+    """loss_and_grad_many of checked stacks; each reduction runs per slice,
+    along one axis."""
+    k, n = batches.shape[:2]
+    enc_acts = _forward(params.encoder, batches, "encoder")
+    z = enc_acts[-1]
+    if lam != 0.0:
+        num_projections = (estimator_config or {}).get("num_projections", 1000)
+        latent, dz_latent = _latent_values_and_grads(z, priors, estimator,
+                                                     num_projections, seeds)
+    else:
+        latent, dz_latent = np.zeros(k), np.zeros_like(z)
+    dec_acts = _forward(params.decoder, z, "decoder")
+    xhat = dec_acts[-1]
+    recon = ((batches - xhat) ** 2).reshape(k, -1).sum(axis=1) / n
+    dxhat = (2.0 / n) * (xhat - batches)
+    # each layer's gradient goes straight into its views of one (k, P)
+    # array, new per call because the regularized trainer keeps a gradient
+    # across steps
+    grads = np.empty((k, params.flat.size))
+    layout, _ = _layer_shapes(tuple(params.layer_sizes), params.latent_dim)
+    views = [(grads[:, w:b].reshape(k, *shape), grads[:, b:end]) for shape, w, b, end in layout]
+    half = len(views) // 2
+    dz_recon = _backward(params.decoder, dec_acts, dxhat, views[half:]) @ params.decoder[0][0].T
+    _backward(params.encoder, enc_acts, dz_recon + lam * dz_latent, views[:half])
+    return recon, latent, grads
 
 
 def loss_and_grad(params, batch_x, prior_batch, lam, estimator="SW",
                   estimator_config=None, seed=0):
-    """Composite loss on one batch.
+    """Composite loss on one batch, loss_and_grad_many of a stack of one.
 
     loss = (1/n) sum ||x - dec(enc(x))||^2
            + lam * estimator^2(enc(batch_x), prior_batch)
@@ -138,30 +199,10 @@ def loss_and_grad(params, batch_x, prior_batch, lam, estimator="SW",
     Returns (recon_loss, latent_loss, grad), grad a new float64 vector laid
     out like params.flat.
     """
-    batch_x = np.asarray(batch_x, dtype=float)
-    prior_batch = np.asarray(prior_batch, dtype=float)
-    if len(batch_x) != len(prior_batch):
-        raise ValueError("batch and prior batch sizes differ")
-    n = len(batch_x)
-
-    enc_acts = _forward(params.encoder, batch_x, "encoder")
-    z = enc_acts[-1]
-    if lam != 0.0:
-        num_projections = (estimator_config or {}).get("num_projections", 1000)
-        latent, dz_latent = _latent_value_and_grad(z, prior_batch, estimator,
-                                                   num_projections, seed)
-    else:
-        latent, dz_latent = 0.0, np.zeros_like(z)
-    dec_acts = _forward(params.decoder, z, "decoder")
-    xhat = dec_acts[-1]
-    recon = float(((batch_x - xhat) ** 2).sum() / n)
-    dxhat = (2.0 / n) * (xhat - batch_x)
-    # each layer's gradient goes straight into its views of one vector, new
-    # per call because the regularized trainer keeps a gradient across steps
-    grad = AutoEncoderParams(np.empty_like(params.flat), params.latent_dim, params.layer_sizes)
-    dz_recon = _backward(params.decoder, dec_acts, dxhat, grad.decoder) @ params.decoder[0][0].T
-    _backward(params.encoder, enc_acts, dz_recon + lam * dz_latent, grad.encoder)
-    return recon, latent, grad.flat
+    recon, latent, grads = loss_and_grad_many(
+        params, np.asarray(batch_x, dtype=float)[None], np.asarray(prior_batch, dtype=float)[None],
+        lam, estimator, estimator_config, [seed])
+    return float(recon[0]), float(latent[0]), grads[0]
 
 
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decay rates and floor

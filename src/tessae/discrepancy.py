@@ -22,12 +22,13 @@ def _check_pair(a, b, equal_size=True):
         a = a[:, None]
     if b.ndim == 1:
         b = b[:, None]
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    if equal_size and a.shape[0] != b.shape[0]:
-        raise ValueError(f"size mismatch: {a.shape[0]} vs {b.shape[0]}")
-    if not (len(a) and len(b)):
-        raise ValueError(f"empty point set: {len(a)} and {len(b)} points")
+    if a.shape[-1] != b.shape[-1]:
+        raise ValueError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
+    if equal_size and a.shape[:-1] != b.shape[:-1]:  # a stack's (k, n) too
+        raise ValueError("size mismatch: {} vs {}".format(
+            *(" x ".join(map(str, x.shape[:-1])) for x in (a, b))))
+    if not (a.shape[-2] and b.shape[-2]):
+        raise ValueError(f"empty point set: {a.shape[-2]} and {b.shape[-2]} points")
     return a, b
 
 
@@ -71,48 +72,62 @@ def directions(dim, count, rng):
 def sorted_projections(a, dirs):
     """a projected on the rows of dirs, each row sorted: shape (len(dirs), len(a)).
 
-    The values are those of a @ dirs.T, copied transposed so that each
-    sort runs along the contiguous axis."""
-    p = (a @ dirs.T).T.copy()
+    The product dirs @ a.T is formed in the layout it is sorted in, each
+    sort running along the contiguous axis."""
+    p = dirs @ a.T
     p.sort()
     return p
 
 
 def sq_diff_mean(p, q):
-    """mean((p - q) ** 2) of two (L, n) sorted projections, bit-equal to the
-    mean over their (n, L) transposes: np.mean sums in memory order, so the
-    squares are copied transposed first.  p is overwritten with the squares."""
+    """mean((p - q) ** 2) over the last two axes of (..., L, n) sorted
+    projections, bit-equal to the mean over each (n, L) transpose: the sum
+    runs in memory order, so the squares are copied transposed first.  p is
+    overwritten with the squares."""
     np.subtract(p, q, out=p)
     np.square(p, out=p)
-    return float(p.T.copy().mean())
+    squares = p.swapaxes(-1, -2).reshape(*p.shape[:-2], -1)
+    return squares.sum(axis=-1) / squares.shape[-1]
 
 
 def sw2_projected(a, b, dirs):
     """Mean 1-D sorted squared W2 of a and b projected on the rows of dirs."""
     pa, pb = sorted_projections(a, dirs), sorted_projections(b, dirs)
-    return sq_diff_mean(pa, pb)
+    return float(sq_diff_mean(pa, pb))
 
 
 def sw2(a, b, num_projections=1000, seed=0):
     """Sliced squared W2, the average 1-D sorted W2 over num_projections
     random directions on the unit sphere, and its gradient with respect to
     a, from one direction draw, one projection of each set and one
-    matching; returns (value, gradient)."""
+    matching; returns (value, gradient).
+
+    A stack of k sets, a and b of shape (k, n, d) with a sequence of k
+    seeds, gives values (k,) and gradients (k, n, d), each slice bit-equal
+    to its own call: one product projects every slice, and the rows of all
+    k (L, n) projections are matched together."""
     a, b = _check_pair(a, b)
-    dirs = directions(a.shape[1], num_projections, np.random.default_rng(seed))
-    value, coeff = _matched_diffs((a @ dirs.T).T.copy(), (b @ dirs.T).T.copy())
+    stacked = a.ndim == 3
+    if not stacked:
+        a, b, seed = a[None], b[None], [seed]
+    if len(seed) != len(a):
+        raise ValueError(f"{len(a)} point sets but {len(seed)} seeds")
+    dirs = np.array([directions(a.shape[2], num_projections, np.random.default_rng(s))
+                     for s in seed])
+    values, coeff = _matched_diffs(dirs @ a.transpose(0, 2, 1), dirs @ b.transpose(0, 2, 1))
     # the product takes coeff C-contiguous (n, L): the transposed view would
     # round differently
-    return value, (2.0 / (len(a) * num_projections)) * (coeff.T.copy() @ dirs)
+    grads = (2.0 / (a.shape[1] * num_projections)) * (coeff.transpose(0, 2, 1).copy() @ dirs)
+    return (values, grads) if stacked else (float(values[0]), grads[0])
 
 
 def _matched_diffs(pa, pb):
-    """Each row of the C-contiguous (L, n) projections matched by stable
-    sort, which yields the same sorted values as np.sort, also where they
-    tie: the sq_diff_mean of the sorted rows, and their differences placed
-    back at a's columns.  Each row's argsort is offset to flat indices, so
-    the gathers and the scatter run along the contiguous axis."""
-    offsets = np.arange(0, pa.size, pa.shape[1])[:, None]
+    """Each row of the C-contiguous (..., L, n) projections matched by
+    stable sort, which yields the same sorted values as np.sort, also where
+    they tie: the sq_diff_mean of the sorted rows, and their differences
+    placed back at a's columns.  Each row's argsort is offset to flat
+    indices, so the gathers and the scatter run along the contiguous axis."""
+    offsets = np.arange(0, pa.size, pa.shape[-1]).reshape(*pa.shape[:-1], 1)
     ia = np.argsort(pa, kind="stable")
     ia += offsets
     ib = np.argsort(pb, kind="stable")
@@ -201,7 +216,7 @@ def _gsw2_at(a, b, pivots):
     # in memory order; d feature / d a_i = (a_i - pivot_l) / fa[i, l]
     c = (2.0 / (len(a) * len(pivots))) * coeff.T.copy() / fa
     grad = c.sum(axis=1)[:, None] * a - c @ pivots
-    return value, grad
+    return float(value), grad
 
 
 def _sym_sqrt(mat, inv=False, floor=0.0):

@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autoencoder import ESTIMATORS, AdamState, adam_step, encode, init_params, loss_and_grad
+from .autoencoder import (ESTIMATORS, NUMERIC_FAILURES, AdamState, adam_step, encode, init_params,
+                          loss_and_grad, loss_and_grad_many)
 from .batch_design import lcm_assign
 from .data import write_csv
 from .seeding import derive_rng, derive_seed
@@ -57,6 +58,10 @@ class TrainConfig:
         if unknown:
             raise ValueError("estimator_config reads only 'num_projections', "
                              f"not {sorted(unknown, key=repr)}")
+        value = self.estimator_config.get("num_projections", 1)
+        if type(value) is not int or value < 1:
+            raise ValueError(f"estimator_config['num_projections'] must be an int >= 1, "
+                             f"got {value!r}")
 
     @property
     def region_batch(self):
@@ -125,9 +130,26 @@ def _check_finite(recon, latent, epoch, chunk, region):
             f"recon={recon} latent={latent}")
 
 
-def _loss(config, params, batches, priors, seeds, step):
-    return loss_and_grad(params, batches[step], priors[step], config.lam, config.estimator,
-                         config.estimator_config, seed=seeds[step])
+def _losses(config, params, batches, priors, seeds, rows, where):
+    """The recon and latent loss of batch rows[0], checked finite, and the
+    gradients (len(rows), P) of all rows at params, in one call.  Where a
+    stack fails, rows[0] is checked first, as when each loss was its own
+    call."""
+    loss = config.lam, config.estimator, config.estimator_config
+    if len(rows) == 1:
+        (row,) = rows
+        recon, latent, grad = loss_and_grad(params, batches[row], priors[row], *loss,
+                                            seed=seeds[row])
+        _check_finite(recon, latent, *where)
+        return recon, latent, grad[None]
+    try:
+        recon, latent, grads = loss_and_grad_many(params, batches[rows], priors[rows], *loss,
+                                                  [seeds[r] for r in rows])
+    except NUMERIC_FAILURES:
+        _losses(config, params, batches, priors, seeds, rows[:1], where)
+        raise
+    _check_finite(recon[0], latent[0], *where)
+    return recon[0], latent[0], grads
 
 
 def _tessellated_chunk(config, tess, params, x_chunk, key):
@@ -182,19 +204,26 @@ def _train(config, dataset, tess, params, form_chunk, alpha):
         for c in range(n_chunks):
             x_chunk = dataset[c * config.chunk_size:(c + 1) * config.chunk_size]
             key = (config.seed, epoch, c)
-            labels, *chunk, lcm_ms = form_chunk(config, tess, params, x_chunk, key)
+            labels, batches, priors, seeds, lcm_ms = form_chunk(config, tess, params, x_chunk, key)
             supported = config.m - 1 if alpha != 0.0 else 0  # no step uses the last's support
-            support = _support_chunk(config, x_chunk, key, supported)
+            s_batches, s_priors, s_seeds = _support_chunk(config, x_chunk, key, supported)
+            # support batch s is row m + s
+            batches = np.concatenate([batches, s_batches])
+            priors = np.concatenate([priors, s_priors])
+            seeds = [*seeds, *s_seeds]
             for step, label in enumerate(labels.tolist()):
                 t1 = time.perf_counter()
-                recon, latent, grads = _loss(config, params, *chunk, step)
-                _check_finite(recon, latent, epoch, c, label)
+                # the region batch, then the support batches of the previous
+                # step (g_now) and of this one (the next step's g_prev)
+                rows = [step] + [config.m + s for s in (step - 1, step) if 0 <= s < supported]
+                recon, latent, grads = _losses(config, params, batches, priors, seeds, rows,
+                                               (epoch, c, label))
+                update = grads[0]
                 if 0 < step <= supported:
-                    _, _, g_now = _loss(config, params, *support, step - 1)
-                    grads = grads + alpha * g_now + -alpha * g_prev
+                    update = grads[0] + alpha * grads[1] + -alpha * g_prev
                 if step < supported:  # this step's support at the pre-update params
-                    _, _, g_prev = _loss(config, params, *support, step)
-                params, adam = adam_step(params, adam, grads)
+                    g_prev = grads[-1]
+                params, adam = adam_step(params, adam, update)
                 log.add(epoch, c, label, recon, latent, lcm_ms, (time.perf_counter() - t1) * 1e3)
     return params, log
 

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tessae import discrepancy
-from tessae.autoencoder import (AdamState, AutoEncoderParams,
+from tessae.autoencoder import (ESTIMATORS, AdamState, AutoEncoderParams,
                                 ForwardNumericalError, adam_step, decode,
                                 encode, init_params, load_checkpoint,
-                                loss_and_grad, save_checkpoint)
+                                loss_and_grad, loss_and_grad_many, save_checkpoint)
 
 
 def params_equal(a, b):
@@ -372,3 +372,60 @@ def test_loss_and_grad_returns_a_fresh_vector():
     assert g1.tobytes() == g2.tobytes()
     assert not np.shares_memory(g1, g2)
     assert not np.shares_memory(g1, p.flat) and not np.shares_memory(g2, p.flat)
+
+
+@pytest.mark.parametrize("k", [3, 10])
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_stack_equals_one_call_per_batch(estimator, k):
+    # criterion-11 widths; 10 x 1000 projected values pass numpy's 8192-value
+    # reduction buffer
+    p = init_params([2, 64, 64], 2, seed=k)
+    rng = np.random.default_rng(k)
+    batches, priors = rng.standard_normal((k, 10, 2)), 0.3 * rng.standard_normal((k, 10, 2))
+    seeds = rng.integers(0, 2**32, k).tolist()
+    config = {"num_projections": 1000}
+    recon, latent, grads = loss_and_grad_many(p, batches, priors, 0.5, estimator, config, seeds)
+    assert recon.shape == latent.shape == (k,) and grads.shape == (k, p.flat.size)
+    for i in range(k):
+        r, l, g = loss_and_grad(p, batches[i], priors[i], 0.5, estimator, config, seed=seeds[i])
+        assert np.float64(r).tobytes() == recon[i].tobytes()
+        assert np.float64(l).tobytes() == latent[i].tobytes()
+        assert g.tobytes() == grads[i].tobytes()
+
+
+def _first_error(p, batches, priors):
+    for x, prior in zip(batches, priors):
+        try:
+            loss_and_grad(p, x, prior, 1.0, "SW", {"num_projections": 16})
+        except ForwardNumericalError as err:
+            return err.stack, err.layer
+    return None
+
+
+@pytest.mark.parametrize("poison, expected", [
+    ("nan-in-slice-2", ("encoder", 0)),
+    ("-inf-hidden", ("encoder", 0)),
+    ("decoder-before-encoder", ("decoder", 0)),
+], ids=["nan-in-slice-2", "-inf-hidden", "decoder-before-encoder"])
+def test_stack_raises_the_first_failing_batchs_error(poison, expected):
+    p = init_params([2, 16], 2, seed=0)
+    rng = np.random.default_rng(0)
+    batches, priors = rng.standard_normal((4, 10, 2)), rng.standard_normal((4, 10, 2))
+    if poison == "nan-in-slice-2":
+        batches[2, 5, 1] = np.nan
+    elif poison == "-inf-hidden":
+        # one hidden pre-activation of slice 1 is -inf; its ReLU output, and
+        # so everything after it, stays finite
+        batches[1, 3] = 1e300, 0.0
+        p.encoder[0][0][0, 7] = -1e10
+    else:
+        # slice 1 overflows in the decoder before slice 2 meets its NaN
+        p.decoder[0][0][...] *= 1e10
+        batches[1, 3] = 1e300, 0.0
+        batches[2, 5, 1] = np.nan
+    with np.errstate(all="ignore"):
+        assert _first_error(p, batches, priors) == expected
+        with pytest.raises(ForwardNumericalError) as err:
+            loss_and_grad_many(p, batches, priors, 1.0, "SW", {"num_projections": 16},
+                               [0, 1, 2, 3])
+    assert (err.value.stack, err.value.layer) == expected

@@ -336,15 +336,15 @@ def test_sw2_nonnegative_and_symmetric(pair, num_projections, seed):
 
 @pytest.mark.parametrize("n, num_projections, dim", [(10, 64, 2), (1000, 256, 2), (2410, 256, 8)])
 def test_sw2_projected_bit_equals_axis0_formula(n, num_projections, dim):
-    # the (L, n) layout must change no bit: projections are a @ dirs.T
-    # (dirs @ a.T differs in the last bits at d >= 8), and the mean is
-    # summed in (n, L) order (np.mean's pairwise sum follows memory order);
-    # at each shape some of the four seeds tell the two summation orders apart
+    # projections are dirs @ a.T (a @ dirs.T rounds differently in the last
+    # bits at some sizes, 2410 x 8 among them), and the mean is summed in
+    # (n, L) order (np.mean's pairwise sum follows memory order); at each
+    # shape some of the four seeds tell the two summation orders apart
     for seed in range(4):
         rng = np.random.default_rng(seed)
         a, b = rng.standard_normal((n, dim)), rng.random((n, dim))
         dirs = directions(dim, num_projections, rng)
-        pa, pb = np.sort(a @ dirs.T, axis=0), np.sort(b @ dirs.T, axis=0)
+        pa, pb = (np.sort(dirs @ x.T, axis=1).T.copy() for x in (a, b))
         assert np.array_equal(sorted_projections(a, dirs), pa.T)
         assert sw2_projected(a, b, dirs) == float(((pa - pb) ** 2).mean())
         dirs = directions(dim, num_projections, np.random.default_rng(seed))

@@ -260,21 +260,25 @@ def test_inputs_must_match_config_in_one_line_naming_both_sides(ring, trainer, i
 
 @pytest.fixture
 def loss_calls(monkeypatch):
-    calls, loss_and_grad = [], trainer_module.loss_and_grad
+    """The number of batches each loss call of the trainer evaluates."""
+    calls = []
+    for name, batches in (("loss_and_grad", lambda batch: 1), ("loss_and_grad_many", len)):
+        def counted(params, batch, *args, loss=getattr(trainer_module, name), batches=batches,
+                    **kwargs):
+            calls.append(batches(batch))
+            return loss(params, batch, *args, **kwargs)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return loss_and_grad(*args, **kwargs)
-
-    monkeypatch.setattr(trainer_module, "loss_and_grad", counted)
+        monkeypatch.setattr(trainer_module, name, counted)
     return calls
 
 
 def test_regularized_makes_3m_minus_2_losses_per_chunk(ring, loss_calls):
     # m region losses, and m-1 support batches each evaluated twice: the
-    # last step's support would only be used by a step the chunk lacks
+    # last step's support would only be used by a step the chunk lacks;
+    # each step evaluates its losses in one call
     train_twae_regularized(small_config(epochs=1), ring)
-    assert len(loss_calls) == 5 * 10
+    assert len(loss_calls) == 5 * 4
+    assert sum(loss_calls) == 5 * 10
 
 
 def test_m1_regularized_makes_one_loss_per_chunk_and_equals_plain(ring, loss_calls):
@@ -345,3 +349,39 @@ def test_metrics_log_epoch_means():
     log.add(1, 0, 0, 5.0, 6.0, 0.0, 0.0)
     assert log.epoch_means("recon") == [2.0, 5.0]
     assert log.epoch_means("latent") == [3.0, 6.0]
+
+
+@pytest.mark.parametrize("value", [0, -3, 2.5, True, "16", None])
+def test_num_projections_must_be_an_int_of_at_least_one(value):
+    message = f"estimator_config['num_projections'] must be an int >= 1, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        small_config(estimator_config={"num_projections": value})
+
+
+@pytest.mark.parametrize("poison, error, message", [
+    # the step's region loss is non-finite: it aborts before the support fails
+    ("region-and-support", TrainingAborted, "non-finite loss at epoch 0 chunk 0 region"),
+    ("support", ForwardNumericalError, "non-finite activation in encoder layer 0"),
+], ids=["region-and-support", "support"])
+def test_regularized_step_raises_as_one_call_per_loss(ring, monkeypatch, poison, error, message):
+    # step 1 evaluates region batch 1 with support batches 0 (g_now) and 1
+    # (the next g_prev); support batch 1 is non-finite
+    tessellated, support = trainer_module._tessellated_chunk, trainer_module._support_chunk
+
+    def region_chunk(*args):
+        labels, batches, *rest = tessellated(*args)
+        if poison == "region-and-support":
+            batches = batches.copy()
+            batches[1] *= 1e200  # finite activations, an infinite recon loss
+        return labels, batches, *rest
+
+    def support_chunk(*args):
+        batches, *rest = support(*args)
+        batches = batches.copy()
+        batches[1, 0, 0] = np.nan
+        return batches, *rest
+
+    monkeypatch.setattr(trainer_module, "_tessellated_chunk", region_chunk)
+    monkeypatch.setattr(trainer_module, "_support_chunk", support_chunk)
+    with np.errstate(all="ignore"), pytest.raises(error, match=f"^{re.escape(message)}"):
+        train_twae_regularized(small_config(epochs=1), ring)
