@@ -31,23 +31,35 @@ class AssignmentPlan:
             -1, self.capacity, *rows.shape[1:])
 
 
-def sq_dists(a, b):
-    """Squared Euclidean distances between the rows of a and of b, shape
-    (len(a), len(b)), clamped at 0 against cancellation.
-
-    Computed as (||a_i||^2 + ||b_j||^2) - 2 a_i.b_j in place in the product
-    matrix, the norm sums formed in one reused block of at most DIST_BLOCK
-    entries, so that the result is the only (len(a), len(b)) array."""
-    out = 2.0 * a @ b.T
-    aa = (a * a).sum(axis=1)
+def _sq_dist_blocks(a, b):
+    """The matrix of sq_dists(a, b), as yet the product a @ (2b).T (the
+    bits of 2a @ b.T without an a-sized copy), and a generator that finishes
+    it in place in row blocks of at most DIST_BLOCK entries, yielding each
+    (first row, block) while the block is still in cache."""
+    out = a @ (2.0 * b).T
     bb = (b * b).sum(axis=1)
     rows = max(1, DIST_BLOCK // max(1, len(b)))
     buf = np.empty((min(rows, len(a)), len(b)), dtype=out.dtype)
-    for i in range(0, len(a), rows):
-        block = out[i:i + rows]
-        norms = np.add(aa[i:i + rows, None], bb[None, :], out=buf[:len(block)])
-        np.subtract(norms, block, out=block)
-        np.maximum(block, 0.0, out=block)
+
+    def finish():
+        for i in range(0, len(a), rows):
+            ab = a[i:i + rows]
+            block = out[i:i + rows]
+            norms = np.add((ab * ab).sum(axis=1)[:, None], bb[None, :], out=buf[:len(block)])
+            np.subtract(norms, block, out=block)
+            np.maximum(block, 0.0, out=block)
+            yield i, block
+
+    return out, finish()
+
+
+def sq_dists(a, b):
+    """Squared Euclidean distances between the rows of a and of b, shape
+    (len(a), len(b)), clamped at 0 against cancellation: (||a_i||^2 +
+    ||b_j||^2) - 2 a_i.b_j, the one (len(a), len(b)) array made."""
+    out, blocks = _sq_dist_blocks(a, b)
+    for _ in blocks:
+        pass
     return out
 
 
@@ -73,6 +85,27 @@ def _finalize(points, generators, assignment, capacity):
     return AssignmentPlan(assignment=assignment, capacity=capacity, cost=cost)
 
 
+def _instance(points, generators, capacity):
+    """points and generators as float arrays, checked as an instance of
+    capacity points per generator."""
+    points = np.asarray(points, dtype=float)
+    generators = np.asarray(generators, dtype=float)
+    if points.ndim != 2:
+        raise ValueError(f"points must be an (N, d) array, got shape {points.shape}")
+    if generators.ndim != 2 or len(generators) == 0:
+        raise ValueError(f"generators must be an (m, d) array with m >= 1, "
+                         f"got shape {generators.shape}")
+    if points.shape[1] != generators.shape[1]:
+        raise ValueError(f"points have width {points.shape[1]}, "
+                         f"generators width {generators.shape[1]}")
+    if isinstance(capacity, bool) or not isinstance(capacity, (int, np.integer)) or capacity < 1:
+        raise ValueError(f"capacity must be an int >= 1, got {capacity!r}")
+    if len(points) != capacity * len(generators):
+        raise ValueError(f"need N = capacity * m, got N={len(points)}, "
+                         f"capacity={capacity}, m={len(generators)}")
+    return points, generators
+
+
 def lcm_assign(points, generators, capacity):
     """Greedy least-cost assignment: repeatedly take the globally smallest
     unmasked distance entry (ties by smaller row, then smaller column),
@@ -86,17 +119,17 @@ def lcm_assign(points, generators, capacity):
     of its distances plus `closed` (inf on full columns), its smallest open
     (distance, column), and goes onto a heap of such advanced rows. The next
     entry is the smaller head of the two, in (d, i, j) order. The one
-    (N, m) array is the distance matrix."""
-    m = len(generators)
-    n_points = len(points)
-    if n_points != capacity * m:
-        raise ValueError(f"need N = capacity * m, got N={n_points}, "
-                         f"capacity={capacity}, m={m}")
-    dmat = distance_matrix(points, generators)
-    # distances are >= 0, so the max is finite iff no entry is inf or nan
-    if not np.isfinite(dmat.max(initial=0.0)):
-        raise ValueError("lcm_assign needs finite squared distances")
-    cols = dmat.argmin(axis=1)
+    (N, m) array is the distance matrix; each row block's argmins and
+    finite check are taken as sq_dists finishes the block."""
+    points, generators = _instance(points, generators, capacity)
+    n_points, m = len(points), len(generators)
+    dmat, blocks = _sq_dist_blocks(points, generators)
+    cols = np.empty(n_points, dtype=np.intp)
+    for i, block in blocks:
+        # distances are >= 0, so the max is finite iff no entry is inf or nan
+        if not np.isfinite(block.max(initial=0.0)):
+            raise ValueError("lcm_assign needs finite squared distances")
+        block.argmin(axis=1, out=cols[i:i + len(block)])
     mins = dmat[np.arange(n_points), cols]
     order = np.argsort(mins, kind="stable")
     fresh = list(zip(mins[order].tolist(), order.tolist(), cols[order].tolist()))
@@ -105,6 +138,7 @@ def lcm_assign(points, generators, capacity):
     assignment = [0] * n_points
     col_slots = [capacity] * m
     closed = np.zeros(m)
+    row = np.empty(m)
     p = 0
     while p < n_points or heap:
         if heap and heap[0] < fresh[p]:
@@ -118,24 +152,18 @@ def lcm_assign(points, generators, capacity):
             if not col_slots[j]:
                 closed[j] = np.inf
             continue
-        row = dmat[i] + closed
+        np.add(dmat[i], closed, row)  # out passed positionally: the keyword costs ~50 ns a call
         k = int(row.argmin())
         heapq.heappush(heap, (float(row[k]), i, k))
-    return _finalize(np.asarray(points, dtype=float),
-                     np.asarray(generators, dtype=float),
-                     np.array(assignment, dtype=int), capacity)
+    del dmat, block  # freed before _finalize gathers its (N, d) rows
+    return _finalize(points, generators, np.array(assignment, dtype=int), capacity)
 
 
 def optimal_assign(points, generators, capacity):
     """Exact minimum-cost plan: duplicates each generator `capacity` times
     and solves the resulting square assignment problem. N <= OPTIMAL_MAX_POINTS."""
-    points = np.asarray(points, dtype=float)
-    generators = np.asarray(generators, dtype=float)
-    m = len(generators)
+    points, generators = _instance(points, generators, capacity)
     n_points = len(points)
-    if n_points != capacity * m:
-        raise ValueError(f"need N = capacity * m, got N={n_points}, "
-                         f"capacity={capacity}, m={m}")
     if n_points > OPTIMAL_MAX_POINTS:
         raise ValueError(f"optimal_assign limited to N <= {OPTIMAL_MAX_POINTS}")
     from scipy.optimize import linear_sum_assignment  # local: import costs 49 MB of RSS, 0.35 s

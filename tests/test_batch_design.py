@@ -85,6 +85,23 @@ def test_sq_dists_blocks_equal_one_shot(monkeypatch, rows):
     assert got.min() == 0.0
 
 
+@pytest.mark.parametrize("rows", [None, 7])
+@pytest.mark.parametrize("view", [False, True], ids=["contiguous", "row-view"])
+@pytest.mark.parametrize("n", [255, 257, 2410])
+@pytest.mark.parametrize("d", [1, 2, 8, 64])
+def test_sq_dists_equals_formula(monkeypatch, d, n, view, rows):
+    # the product a @ (2b).T and the per-block row norms give the bits of
+    # the whole-array formula, at tail sizes and on a view one row in
+    rng = np.random.default_rng(d * n)
+    a = rng.standard_normal((n + 1, d))
+    a = a[1:] if view else a[:n]
+    b = 0.5 * rng.standard_normal((50, d))
+    if rows is not None:
+        monkeypatch.setattr(batch_design, "DIST_BLOCK", rows * len(b))
+    raw = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * a @ b.T
+    assert sq_dists(a, b).tobytes() == np.maximum(raw, 0.0).tobytes()
+
+
 def test_finalize_rejects_infeasible_plan():
     # a raised error, not an assert, so that python -O keeps the check
     points = np.zeros((4, 1))
@@ -167,6 +184,37 @@ def test_lcm_rejects_non_finite_distances():
         lcm_assign(z, g, 2)
 
 
+@pytest.mark.parametrize("rows", [1, 7, 60])
+def test_lcm_blocks_equal_default(monkeypatch, rows):
+    # 104 rows: no multiple of 7 or 60, so the last block is short
+    rng = np.random.default_rng(rows)
+    z = rng.standard_normal((104, 3))
+    g = 0.5 * rng.standard_normal((8, 3))
+    base = lcm_assign(z, g, 13)
+    monkeypatch.setattr(batch_design, "DIST_BLOCK", rows * len(g))
+    plan = lcm_assign(z, g, 13)
+    assert plan.assignment.tobytes() == base.assignment.tobytes()
+    assert np.float64(plan.cost).tobytes() == np.float64(base.cost).tobytes()
+    # the finite check reads every block, the short last one too
+    z[-1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        lcm_assign(z, g, 13)
+
+
+@pytest.mark.parametrize("assign", [lcm_assign, optimal_assign])
+@pytest.mark.parametrize("points, generators, capacity, message", [
+    (np.zeros((0, 2)), np.zeros((0, 2)), 1, "generators must be"),
+    (np.zeros(4), np.zeros((2, 1)), 2, "points must be"),
+    (np.zeros((0, 2)), np.zeros((3, 2)), 0, "capacity must be"),
+    (np.zeros((4, 1)), np.zeros((2, 1)), 2.0, "capacity must be"),
+    (np.zeros((2, 1)), np.zeros((2, 1)), True, "capacity must be"),
+    (np.zeros((4, 3)), np.zeros((2, 2)), 2, "points have width 3, generators width 2"),
+], ids=["no-generators", "1-d-points", "capacity-0", "float-capacity", "bool-capacity", "widths"])
+def test_assign_input_checks(assign, points, generators, capacity, message):
+    with pytest.raises(ValueError, match=message):
+        assign(points, generators, capacity)
+
+
 def test_permutation_equivariance():
     rng = np.random.default_rng(3)
     z = rng.standard_normal((8, 2))
@@ -230,6 +278,23 @@ def test_lcm_assign_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * 4000 * 400 * 8
+
+
+def test_lcm_assign_holds_no_point_sized_temporary():
+    # beside its (N, m) matrix the call holds only per-row lists and
+    # indices, about 0.4 N*d*8 bytes at d = 64; a copy of the points, or
+    # the (N, d) gather of the cost while the matrix is alive, is N*d*8
+    n, m, d = 4000, 400, 64
+    rng = np.random.default_rng(8)
+    z = rng.standard_normal((n, d))
+    g = 0.1 * rng.standard_normal((m, d))
+    tracemalloc.start()
+    try:
+        lcm_assign(z, g, n // m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (n * m + 0.75 * n * d)
 
 
 @st.composite
